@@ -49,10 +49,6 @@ class Violation:
         return f"{self.kind.value}: {self.detail}"
 
 
-def _arc_segments(G: Digraph, S: PointSet, m: Mapping):
-    return [(m[t], m[h]) for t, h in G.arcs]
-
-
 def verify_upse(G: Digraph, S: PointSet, m: Mapping) -> list[Violation]:
     """Return all violations of the drawing; an empty list means it is valid."""
     if len(m) != G.n:
@@ -77,7 +73,7 @@ def verify_upse(G: Digraph, S: PointSet, m: Mapping) -> list[Violation]:
                 ViolationKind.ARC_NOT_UPWARD, (a,),
                 f"arc {G.vertices[t]!r}->{G.vertices[h]!r} does not rise"))
 
-    segs = _arc_segments(G, S, m)
+    segs = [(m[t], m[h]) for t, h in G.arcs]
     for i in range(len(segs)):
         pi, qi = segs[i]
         if pi == qi:
@@ -99,8 +95,7 @@ def verify_upse(G: Digraph, S: PointSet, m: Mapping) -> list[Violation]:
             if p == pi or p == qi or pi == qi:
                 continue
             if geo.orientation(S[pi], S[qi], S[p]) is geo.Orientation.COLLINEAR \
-                    and min(S[pi].x, S[qi].x) <= S[p].x <= max(S[pi].x, S[qi].x) \
-                    and min(S[pi].y, S[qi].y) <= S[p].y <= max(S[pi].y, S[qi].y):
+                    and geo._on_segment(S[pi], S[qi], S[p]):
                 t, h = G.arcs[a]
                 out.append(Violation(
                     ViolationKind.VERTEX_ON_ARC, (v, a),

@@ -28,8 +28,7 @@ def _emit(obj: dict, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fileio.write_text(out, text)
 
 
 def _cmd_embed(args) -> int:
@@ -108,9 +107,7 @@ def _cmd_render(args) -> int:
     spec = RenderSpec(width=args.width, height=args.height, margin=args.margin,
                       vertex_radius=args.vertex_radius, arrow_size=args.arrow_size,
                       labels=args.labels)
-    svg = render_svg(S, G, m, spec)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    fileio.write_text(args.out, render_svg(S, G, m, spec))
     return 0
 
 

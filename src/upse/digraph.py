@@ -16,7 +16,12 @@ from .errors import Cyclic, NotATree
 
 
 class Digraph:
-    """Immutable digraph. Vertices are labels; arcs are (tail, head) index pairs."""
+    """Immutable digraph. Vertices are labels; arcs are (tail, head) index pairs.
+
+    One pass over the arcs fills ``out_neighbors``, ``in_neighbors`` and
+    ``adjacency``, the undirected neighbours of each vertex. All three list a
+    vertex's neighbours in the order its arcs appear in ``arcs``.
+    """
 
     def __init__(self, vertices: Sequence[str], arcs: Iterable[tuple[int, int]]):
         self.vertices: tuple[str, ...] = tuple(vertices)
@@ -24,6 +29,10 @@ class Digraph:
         n = len(self.vertices)
         if len(set(self.vertices)) != n:
             raise ValueError("vertex labels must be unique")
+        self._index = {lab: i for i, lab in enumerate(self.vertices)}
+        out: list[list[int]] = [[] for _ in range(n)]
+        inn: list[list[int]] = [[] for _ in range(n)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         seen = set()
         for t, h in self.arcs:
             if not (0 <= t < n and 0 <= h < n):
@@ -33,11 +42,13 @@ class Digraph:
             if (t, h) in seen:
                 raise ValueError(f"duplicate arc ({self.vertices[t]!r},{self.vertices[h]!r})")
             seen.add((t, h))
-        self._index = {lab: i for i, lab in enumerate(self.vertices)}
-        self.out_neighbors: tuple[tuple[int, ...], ...] = tuple(
-            tuple(h for t, h in self.arcs if t == v) for v in range(n))
-        self.in_neighbors: tuple[tuple[int, ...], ...] = tuple(
-            tuple(t for t, h in self.arcs if h == v) for v in range(n))
+            out[t].append(h)
+            inn[h].append(t)
+            adj[t].append(h)
+            adj[h].append(t)
+        self.out_neighbors: tuple[tuple[int, ...], ...] = tuple(map(tuple, out))
+        self.in_neighbors: tuple[tuple[int, ...], ...] = tuple(map(tuple, inn))
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
 
     @classmethod
     def from_labels(cls, vertices: Sequence[str], labeled_arcs: Iterable[tuple[str, str]]) -> "Digraph":
@@ -61,25 +72,20 @@ class Digraph:
 
 
 def underlying_is_tree(G: Digraph) -> bool:
-    """Connected, acyclic as an undirected graph, with arcs forming simple edges."""
+    """Connected, acyclic as an undirected graph, with arcs forming simple edges.
+
+    n - 1 arcs that reach every vertex suffice: arcs are distinct and
+    loop-free, so an opposite pair would leave only n - 2 distinct edges,
+    too few to connect n vertices.
+    """
     n = G.n
-    edges = set()
-    for t, h in G.arcs:
-        e = (min(t, h), max(t, h))
-        if e in edges:
-            return False  # opposite arcs collapse to a multi-edge
-        edges.add(e)
-    if len(edges) != n - 1:
+    if len(G.arcs) != n - 1:
         return False
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
     seen = {0}
     queue = deque([0])
     while queue:
         v = queue.popleft()
-        for w in adj[v]:
+        for w in G.adjacency[v]:
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -130,10 +136,7 @@ def _path_order(G: Digraph) -> list[int] | None:
     n = G.n
     if not underlying_is_tree(G):
         return None
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for t, h in G.arcs:
-        adj[t].append(h)
-        adj[h].append(t)
+    adj = G.adjacency
     if any(len(a) > 2 for a in adj):
         return None
     if n == 1:
@@ -183,10 +186,6 @@ def decompose_at(G: Digraph, u: int) -> TreeDecomposition:
     if not underlying_is_tree(G):
         raise NotATree("underlying graph is not a tree")
     n = G.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for t, h in G.arcs:
-        adj[t].append(h)
-        adj[h].append(t)
     comp = [-1] * n
     comp[u] = -2
     parts: list[set[int]] = []
@@ -198,7 +197,7 @@ def decompose_at(G: Digraph, u: int) -> TreeDecomposition:
         queue = deque([v])
         while queue:
             a = queue.popleft()
-            for b in adj[a]:
+            for b in G.adjacency[a]:
                 if comp[b] == -1:
                     comp[b] = len(parts)
                     bag.add(b)

@@ -2,15 +2,17 @@
 
 A switch tree always admits an upward planar straight-line embedding into any
 convex general-position point set of matching size. The construction is
-recursive. On a one-sided set (bottom and top hull-adjacent) the designated
-sink goes to the top point and the subtrees of the sink occupy consecutive
-blocks of the remaining points, top block first, with roles flipping at each
-level. On a general convex set the sink again takes the top point and the
+recursive, and every block lists its points starting from its anchor's end:
+the top point for a sink, the bottom point for a source. On a one-sided set
+(bottom and top hull-adjacent) the anchor takes the first point of its block
+and each subtree takes the next consecutive run of points, reversed, so the
+subtree's own anchor (a source under a sink, a sink under a source) again
+comes first. On a general convex set the sink takes the top point and the
 subtrees are packed greedily onto the two y-monotone hull chains: left chain
 top-down as long as they fit, the first subtree that does not fit is withheld
 as the residual, the rest continue on the right chain top-down. The unused
 points then form a consecutive arc around the bottom point, and the residual
-subtree recurses into it with its anchor now in the source role.
+subtree recurses into it anchored at a source.
 
 Every intermediate block is a consecutive arc of the hull cycle; the
 InternalNonConsecutiveResidual assertion enforces this at each residual step.
@@ -60,11 +62,7 @@ class _Tree:
     """Arc-ordered adjacency view of a tree plus memoized subtree sizes."""
 
     def __init__(self, G: Digraph):
-        self.G = G
-        self.nbrs: list[list[int]] = [[] for _ in range(G.n)]
-        for t, h in G.arcs:
-            self.nbrs[t].append(h)
-            self.nbrs[h].append(t)
+        self.nbrs = G.adjacency
         self._size: dict[tuple[int, int], int] = {}
 
     def children(self, v: int, parent: int) -> list[int]:
@@ -79,25 +77,16 @@ class _Tree:
         return got
 
 
-def _embed_one_sided_block(tree: _Tree, v: int, parent: int, sink_role: bool,
+def _embed_one_sided_block(tree: _Tree, v: int, parent: int,
                            block: list[int], assign: list[int]) -> None:
-    # block: point indices in ascending y order
-    if sink_role:
-        assign[v] = block[-1]
-        hi = len(block) - 1
-        for c in tree.children(v, parent):
-            sz = tree.size(c, v)
-            _embed_one_sided_block(tree, c, v, False, block[hi - sz:hi], assign)
-            hi -= sz
-        assert hi == 0
-    else:
-        assign[v] = block[0]
-        lo = 1
-        for c in tree.children(v, parent):
-            sz = tree.size(c, v)
-            _embed_one_sided_block(tree, c, v, True, block[lo:lo + sz], assign)
-            lo += sz
-        assert lo == len(block)
+    # block: point indices in y order starting from v's end (top first for a sink)
+    assign[v] = block[0]
+    lo = 1
+    for c in tree.children(v, parent):
+        sz = tree.size(c, v)
+        _embed_one_sided_block(tree, c, v, block[lo:lo + sz][::-1], assign)
+        lo += sz
+    assert lo == len(block)
 
 
 def _run_order(runA: list[int], runB: list[int], S: PointSet,
@@ -137,30 +126,32 @@ class _ConvexEmbedder:
         assert top_at == len(blk) - 1, "block top must lie at an end of the arc"
         return blk[::-1]
 
-    def _greedy(self, v: int, parent: int, blk: list[int], b_pos: int,
-                child_sink_role: bool, include_top: bool):
-        """Pack v's children onto the two chain runs; returns consumption and residual."""
+    def _greedy(self, v: int, parent: int, blk: list[int], b_pos: int, v_source: bool):
+        """Pack v's children onto the two chain runs; returns consumption and residual.
+
+        A sink v holds the top point, so its runs start below it. Both runs
+        list points top-down, which is anchor-first for the sink children of
+        a source and must be reversed for the source children of a sink.
+        """
         S, tree = self.S, self.tree
-        runA = blk[0 if include_top else 1:b_pos]
+        runA = blk[0 if v_source else 1:b_pos]
         runB = blk[b_pos + 1:][::-1]
         left, right = _run_order(runA, runB, S, blk[b_pos], blk[0])
         li = ri = 0
         residual = None
         for c in tree.children(v, parent):
             sz = tree.size(c, v)
-            if residual is None:
-                if sz <= len(left) - li:
-                    seg = left[li:li + sz]
-                    li += sz
-                    _embed_one_sided_block(tree, c, v, child_sink_role,
-                                           seg[::-1], self.assign)
-                    continue
+            if residual is None and sz > len(left) - li:
                 residual = c
                 continue
-            assert sz <= len(right) - ri, "post-residual subtree overflows the right chain"
-            seg = right[ri:ri + sz]
-            ri += sz
-            _embed_one_sided_block(tree, c, v, child_sink_role, seg[::-1], self.assign)
+            if residual is None:
+                seg = left[li:li + sz]
+                li += sz
+            else:
+                assert sz <= len(right) - ri, "post-residual subtree overflows the right chain"
+                seg = right[ri:ri + sz]
+                ri += sz
+            _embed_one_sided_block(tree, c, v, seg if v_source else seg[::-1], self.assign)
         cA = li if left is runA else ri
         cB = ri if left is runA else li
         return cA, cB, residual
@@ -174,8 +165,7 @@ class _ConvexEmbedder:
         blk = self._normalize(blk)
         self.assign[v] = blk[0]
         b_pos = min(range(len(blk)), key=lambda k: S[blk[k]].y)
-        cA, cB, residual = self._greedy(v, parent, blk, b_pos,
-                                        child_sink_role=False, include_top=False)
+        cA, cB, residual = self._greedy(v, parent, blk, b_pos, v_source=False)
         assert residual is not None, "some subtree must spill into the residual block"
         sub = blk[1 + cA:len(blk) - cB]
         self._check_consecutive(sub)
@@ -191,8 +181,7 @@ class _ConvexEmbedder:
             return
         blk = self._normalize(blk)
         b_pos = min(range(len(blk)), key=lambda k: S[blk[k]].y)
-        cA, cB, residual = self._greedy(v, parent, blk, b_pos,
-                                        child_sink_role=True, include_top=True)
+        cA, cB, residual = self._greedy(v, parent, blk, b_pos, v_source=True)
         sub = blk[cA:len(blk) - cB]
         if residual is None:
             assert sub == [blk[b_pos]], "exact greedy fill must leave only the bottom point"
@@ -205,8 +194,8 @@ class _ConvexEmbedder:
             # leftovers confined to one chain: anchor at the bottom, rest is one-sided
             self.assign[v] = sub[j]
             rest = sub[1:] if j == 0 else sub[:-1]
-            rest = sorted(rest, key=lambda i: S[i].y)
-            _embed_one_sided_block(self.tree, residual, v, True, rest, self.assign)
+            rest = sorted(rest, key=lambda i: S[i].y, reverse=True)
+            _embed_one_sided_block(self.tree, residual, v, rest, self.assign)
         else:
             # leftovers on both chains: take the lower chain top, recurse on the rest
             lo_end, hi_end = (0, -1) if S[sub[0]].y < S[sub[-1]].y else (-1, 0)
@@ -229,50 +218,47 @@ def _require_size(T: Digraph, S: PointSet) -> None:
         raise SizeMismatch(f"{T.n} vertices vs {len(S)} points")
 
 
+def _require_anchor(T: Digraph, r: int, sink: bool) -> None:
+    if sink and T.out_neighbors[r]:
+        raise NotSink(f"vertex {T.vertices[r]!r} has outgoing arcs")
+    if not sink and T.in_neighbors[r]:
+        raise NotSource(f"vertex {T.vertices[r]!r} has incoming arcs")
+
+
 def _require_convex_general(S: PointSet) -> None:
     if not geo.is_general_position(S):
         raise NotGeneralPosition("point set is not in general position")
-    if len(S) >= 3 and not geo.is_convex_position(S):
+    if not geo._convex_including_small(S):
         raise NotConvex("point set is not in convex position")
+
+
+def _embed_one_sided(T: Digraph, r: int, S: PointSet, sink: bool) -> Mapping:
+    _require_switch_tree(T)
+    _require_anchor(T, r, sink)
+    _require_size(T, S)
+    _require_convex_general(S)
+    if len(S) >= 2 and geo.is_one_sided(S) is Sidedness.TWO_SIDED:
+        raise NotOneSided("point set is two-sided")
+    block = sorted(range(len(S)), key=lambda i: S[i].y, reverse=sink)
+    assign = [-1] * T.n
+    _embed_one_sided_block(_Tree(T), r, -1, block, assign)
+    return Mapping(tuple(assign))
 
 
 def embed_one_sided_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
     """Embed switch tree T into one-sided convex S with sink r on the top point."""
-    _require_switch_tree(T)
-    if T.out_neighbors[r]:
-        raise NotSink(f"vertex {T.vertices[r]!r} has outgoing arcs")
-    _require_size(T, S)
-    _require_convex_general(S)
-    if len(S) >= 2 and geo.is_one_sided(S) is Sidedness.TWO_SIDED:
-        raise NotOneSided("point set is two-sided")
-    order = sorted(range(len(S)), key=lambda i: S[i].y)
-    assign = [-1] * T.n
-    _embed_one_sided_block(_Tree(T), r, -1, True, order, assign)
-    assert assign[r] == order[-1]
-    return Mapping(tuple(assign))
+    return _embed_one_sided(T, r, S, sink=True)
 
 
 def embed_one_sided_source(T: Digraph, r: int, S: PointSet) -> Mapping:
     """Embed switch tree T into one-sided convex S with source r on the bottom point."""
-    _require_switch_tree(T)
-    if T.in_neighbors[r]:
-        raise NotSource(f"vertex {T.vertices[r]!r} has incoming arcs")
-    _require_size(T, S)
-    _require_convex_general(S)
-    if len(S) >= 2 and geo.is_one_sided(S) is Sidedness.TWO_SIDED:
-        raise NotOneSided("point set is two-sided")
-    order = sorted(range(len(S)), key=lambda i: S[i].y)
-    assign = [-1] * T.n
-    _embed_one_sided_block(_Tree(T), r, -1, False, order, assign)
-    assert assign[r] == order[0]
-    return Mapping(tuple(assign))
+    return _embed_one_sided(T, r, S, sink=False)
 
 
 def embed_convex_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
     """Embed switch tree T into convex general-position S with sink r on the top point."""
     _require_switch_tree(T)
-    if T.out_neighbors[r]:
-        raise NotSink(f"vertex {T.vertices[r]!r} has outgoing arcs")
+    _require_anchor(T, r, sink=True)
     _require_size(T, S)
     _require_convex_general(S)
     assign = [-1] * T.n

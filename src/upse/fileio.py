@@ -1,7 +1,8 @@
 """JSON serialization for point sets, digraphs, mappings, solver results, and
 gadget bundles. Coordinates are exact: integers stay integers, everything else
 becomes a "p/q" string in lowest terms. All load-side problems, including a
-zero denominator, surface as FormatError.
+zero denominator, and every failure to write an output file surface as
+FormatError.
 """
 
 from __future__ import annotations
@@ -154,10 +155,17 @@ def _load(path: str) -> Any:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def write_text(path: str, text: str) -> None:
+    """Write text to path; every output file goes through here."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+
+
 def _dump(obj: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(obj, indent=2) + "\n")
 
 
 def read_points(path: str) -> PointSet:

@@ -199,25 +199,25 @@ class SideSplit(NamedTuple):
     top: int
 
 
-def point_right_of_line(p: Point, a: Point, b: Point) -> bool:
+def _side_of_line(p: Point, a: Point, b: Point) -> Fraction:
     """Horizontal-ray side test against the non-horizontal line through a and b.
 
-    p is right of the line iff p lies on a horizontal ray that starts on the
-    line and points toward +infinity, i.e. iff x(p) exceeds the line's x at
-    height y(p).
+    The result has the sign of x(p) minus the line's x at height y(p): positive
+    when p is right of the line, negative when left, zero on it.
     """
     if a.y == b.y:
         raise ValueError("line through a and b must not be horizontal")
     lo, hi = (a, b) if a.y < b.y else (b, a)
-    # x(p) > x_line(y(p)), cleared of the positive denominator (hi.y - lo.y)
-    return (p.x - lo.x) * (hi.y - lo.y) > (hi.x - lo.x) * (p.y - lo.y)
+    # cleared of the positive denominator (hi.y - lo.y)
+    return (p.x - lo.x) * (hi.y - lo.y) - (hi.x - lo.x) * (p.y - lo.y)
+
+
+def point_right_of_line(p: Point, a: Point, b: Point) -> bool:
+    return _side_of_line(p, a, b) > 0
 
 
 def point_left_of_line(p: Point, a: Point, b: Point) -> bool:
-    if a.y == b.y:
-        raise ValueError("line through a and b must not be horizontal")
-    lo, hi = (a, b) if a.y < b.y else (b, a)
-    return (p.x - lo.x) * (hi.y - lo.y) < (hi.x - lo.x) * (p.y - lo.y)
+    return _side_of_line(p, a, b) < 0
 
 
 def classify_sides(S: PointSet) -> SideSplit:

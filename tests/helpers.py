@@ -114,6 +114,17 @@ def all_switch_trees_upto(max_n: int):
     return out
 
 
+def naive_neighbors(G: Digraph):
+    """Out-, in- and undirected neighbours of every vertex in arc order, by one
+    scan over all arcs per vertex: the O(n*m) construction Digraph once used."""
+    n = G.n
+    out = tuple(tuple(h for t, h in G.arcs if t == v) for v in range(n))
+    inn = tuple(tuple(t for t, h in G.arcs if h == v) for v in range(n))
+    adj = tuple(tuple(h if t == v else t for t, h in G.arcs if v in (t, h))
+                for v in range(n))
+    return out, inn, adj
+
+
 def brute_force_embeddable(G: Digraph, S: PointSet) -> bool:
     """All-permutations oracle."""
     for perm in itertools.permutations(range(G.n)):

@@ -5,11 +5,14 @@ answer, 2 input error (JSON diagnostics on stderr), 3 budget exhausted.
 """
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import upse
 from upse import Digraph, Mapping, PointSet, verify_upse
 from upse.cli import main
 from upse.fileio import (graph_to_obj, mapping_to_obj, points_from_obj,
@@ -234,12 +237,41 @@ class TestRender:
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "FormatError"
 
 
+def unwritable_out_argv(command, tmp_path):
+    g, s = path_files(tmp_path)
+    out = str(tmp_path / "missing" / "out")
+    m = dump(tmp_path, "m.json", {"mapping": {"a": 0, "b": 1, "c": 2}})
+    return {
+        "embed": ["embed", "--graph", dump(tmp_path, "sw.json", {
+            "vertices": ["a", "b", "c"], "arcs": [["a", "b"], ["c", "b"]]}),
+            "--points", s, "--out", out],
+        "decide": ["decide", "--graph", g, "--points", s, "--out", out],
+        "verify": ["verify", "--graph", g, "--points", s, "--mapping", m,
+                   "--out", out],
+        "generate": ["generate", "binucci-tree", "--n", "5", "--out", out],
+        "render": ["render", "--points", s, "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["embed", "decide", "verify", "generate", "render"])
+def test_unwritable_out_is_an_input_error(command, tmp_path, capsys):
+    assert main(unwritable_out_argv(command, tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == "FormatError" and "cannot write" in err["message"]
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         g, s = path_files(tmp_path)
+        # the child finds upse where this process did, installed or not
+        src = str(pathlib.Path(upse.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "upse", "decide", "--graph", g, "--points", s],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"] == "embeddable"
 

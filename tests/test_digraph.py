@@ -3,12 +3,15 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from upse import (Cyclic, Digraph, NotATree, decompose_at, is_monotone_path,
                   is_path_dag, is_switch_tree, longest_directed_path_length,
                   sources_and_sinks, topological_order, underlying_is_tree)
 
-from helpers import random_dag, random_switch_tree, random_tree_edges
+from helpers import (naive_neighbors, random_dag, random_switch_tree,
+                     random_tree_edges)
 
 
 def monotone_path(n):
@@ -53,6 +56,49 @@ class TestUnderlyingTree:
 
     def test_antiparallel_arcs_are_a_multiedge(self):
         assert not underlying_is_tree(Digraph(["a", "b"], [(0, 1), (1, 0)]))
+
+
+@st.composite
+def arc_lists(draw):
+    """(n, arcs): arbitrary distinct loop-free arcs, or an oriented tree with
+    optional extra arcs, so trees, opposite pairs and isolated vertices all occur."""
+    n = draw(st.integers(1, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda a: a[0] != a[1])
+    if draw(st.booleans()):
+        arcs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        arcs = [(h, t) if draw(st.booleans()) else (t, h) for t, h in arcs]
+        arcs += draw(st.lists(pair, max_size=2))
+    else:
+        arcs = draw(st.lists(pair, max_size=2 * n))
+    arcs = list(dict.fromkeys(arcs))
+    return n, draw(st.permutations(arcs))
+
+
+class TestAdjacency:
+    @settings(max_examples=300, deadline=None)
+    @given(arc_lists())
+    def test_matches_the_per_vertex_scan(self, case):
+        n, arcs = case
+        G = Digraph([f"v{i}" for i in range(n)], arcs)
+        assert (G.out_neighbors, G.in_neighbors, G.adjacency) == naive_neighbors(G)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arc_lists())
+    def test_tree_test_matches_networkx(self, case):
+        n, arcs = case
+        G = Digraph([f"v{i}" for i in range(n)], arcs)
+        M = nx.MultiGraph()
+        M.add_nodes_from(range(n))
+        M.add_edges_from(arcs)
+        assert underlying_is_tree(G) == nx.is_tree(M)
+
+    def test_long_zigzag_path(self):
+        n = 20_000
+        G = Digraph([f"v{i}" for i in range(n)],
+                    [(i, i + 1) if i % 2 else (i + 1, i) for i in range(n - 1)])
+        assert is_path_dag(G)
+        assert not is_monotone_path(G)
 
 
 class TestSourcesSinks:

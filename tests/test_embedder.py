@@ -4,7 +4,7 @@ import time
 import pytest
 
 from upse import (Digraph, Mapping, NotOneSided, NotSink, NotSource,
-                  NotSwitchTree, PointSet, SizeMismatch, classify_sides,
+                  NotSwitchTree, Point, PointSet, SizeMismatch, classify_sides,
                   embed_convex_sink, embed_one_sided_sink,
                   embed_one_sided_source, embed_switch_tree, pt, verify_upse)
 
@@ -66,6 +66,25 @@ class TestOneSided:
             assert valid(T, S, m)
             bottom = min(range(n), key=lambda i: S[i].y)
             assert m[r] == bottom
+
+    def test_source_is_the_mirror_of_sink(self):
+        # reversing every arc and reflecting y -> -y swaps the two roles
+        rng = random.Random(15)
+        pairs = 0
+        for _ in range(100):
+            n = rng.randrange(1, 14)
+            T = random_switch_tree(rng, n) if n > 1 else Digraph(["x0"], [])
+            T_rev = Digraph(T.vertices, [(h, t) for t, h in T.arcs])
+            for side in ("left", "right"):
+                S = random_convex(rng, n, side)
+                S_ref = PointSet(Point(p.x, -p.y) for p in S)
+                for r in range(n):
+                    if T.out_neighbors[r]:
+                        continue
+                    assert embed_one_sided_source(T_rev, r, S_ref) == \
+                        embed_one_sided_sink(T, r, S)
+                    pairs += 1
+        assert pairs > 500
 
     def test_wrong_role_is_rejected(self):
         T = in_star(2)
