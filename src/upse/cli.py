@@ -2,9 +2,9 @@
 
 Exit codes: 0 success or embeddable; 1 completed run with a negative answer
 (not embeddable, or verification found violations); 2 input or precondition
-error, with {"error": {"kind", "message"}} on standard error; 3 node budget
-exhausted. The UPSE_NODE_BUDGET environment variable supplies a default
-budget for decide.
+error, or an input too large to process, with {"error": {"kind", "message"}}
+on standard error; 3 node budget exhausted. The UPSE_NODE_BUDGET environment
+variable supplies a default budget for decide.
 """
 
 from __future__ import annotations
@@ -179,13 +179,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except UpseError as exc:
-        json.dump({"error": {"kind": exc.kind, "message": str(exc)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        kind, message = exc.kind, str(exc)
     except ValueError as exc:
-        json.dump({"error": {"kind": "FormatError", "message": str(exc)}}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        kind, message = "FormatError", str(exc)
+    except (RecursionError, MemoryError) as exc:  # an input too deep or too large
+        kind, message = type(exc).__name__, str(exc) or type(exc).__name__
+    json.dump({"error": {"kind": kind, "message": message}}, sys.stderr)
+    sys.stderr.write("\n")
+    return 2
 
 
 if __name__ == "__main__":

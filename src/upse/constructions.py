@@ -234,12 +234,12 @@ def _has_degenerate_triple(new_pts: list[Point], placed: list[Point]) -> bool:
     placed_ys = {p.y for p in placed}
     if any(p.y in placed_ys for p in new_pts):
         return True
-    pool = placed + new_pts
+    pool = [geo._hom(p) for p in placed + new_pts]
     base = len(placed)
     for k in range(base, len(pool)):
         for i in range(k):
             for j in range(i + 1, k):
-                if geo.cross(pool[i], pool[j], pool[k]) == 0:
+                if geo._orient(pool[i], pool[j], pool[k]) == 0:
                     return True
     return False
 

@@ -16,6 +16,8 @@ subtree recurses into it anchored at a source.
 
 Every intermediate block is a consecutive arc of the hull cycle; the
 InternalNonConsecutiveResidual assertion enforces this at each residual step.
+An explicit stack and a loop over residual steps replace recursion, so the
+depth of the tree is unbounded.
 """
 
 from __future__ import annotations
@@ -59,52 +61,37 @@ class Mapping:
 
 
 class _Tree:
-    """Arc-ordered adjacency view of a tree plus memoized subtree sizes."""
+    """A tree rooted at r: arc-ordered children and subtree sizes, found in one
+    iterative pass."""
 
-    def __init__(self, G: Digraph):
-        self.nbrs = G.adjacency
-        self._size: dict[tuple[int, int], int] = {}
-
-    def children(self, v: int, parent: int) -> list[int]:
-        return [w for w in self.nbrs[v] if w != parent]
-
-    def size(self, v: int, parent: int) -> int:
-        key = (v, parent)
-        got = self._size.get(key)
-        if got is None:
-            got = 1 + sum(self.size(c, v) for c in self.children(v, parent))
-            self._size[key] = got
-        return got
-
-
-def _embed_one_sided_block(tree: _Tree, v: int, parent: int,
-                           block: list[int], assign: list[int]) -> None:
-    # block: point indices in y order starting from v's end (top first for a sink)
-    assign[v] = block[0]
-    lo = 1
-    for c in tree.children(v, parent):
-        sz = tree.size(c, v)
-        _embed_one_sided_block(tree, c, v, block[lo:lo + sz][::-1], assign)
-        lo += sz
-    assert lo == len(block)
+    def __init__(self, G: Digraph, r: int):
+        self.children: list[list[int]] = [[] for _ in range(G.n)]
+        self.size = [1] * G.n
+        parent = [-1] * G.n
+        order = [r]
+        for v in order:  # BFS: every vertex comes after its parent
+            for w in G.adjacency[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    self.children[v].append(w)
+                    order.append(w)
+        for v in reversed(order[1:]):
+            self.size[parent[v]] += self.size[v]
 
 
-def _run_order(runA: list[int], runB: list[int], S: PointSet,
-               bottom: int, top: int) -> tuple[list[int], list[int]]:
-    """Order the two chain runs as (left, right) via the bottom-top line."""
-    def side(run: list[int]) -> bool | None:
-        for i in run:
-            if i != top:
-                return geo.point_left_of_line(S[i], S[bottom], S[top])
-        return None
-
-    a = side(runA)
-    if a is None:
-        b = side(runB)
-        if b is None:
-            return runA, runB
-        return (runB, runA) if b else (runA, runB)
-    return (runA, runB) if a else (runB, runA)
+def _embed_one_sided_block(tree: _Tree, v: int, block: list[int], first: int,
+                           step: int, assign: list[int]) -> None:
+    # the window block[first], block[first + step], ... lists tree.size[v] points
+    # in y order from v's end (top first for a sink); no window is copied
+    stack = [(v, first, step)]
+    while stack:
+        v, first, step = stack.pop()
+        assign[v] = block[first]
+        lo = 1
+        for c in tree.children[v]:
+            sz = tree.size[c]
+            stack.append((c, first + (lo + sz - 1) * step, -step))
+            lo += sz
 
 
 class _ConvexEmbedder:
@@ -126,7 +113,7 @@ class _ConvexEmbedder:
         assert top_at == len(blk) - 1, "block top must lie at an end of the arc"
         return blk[::-1]
 
-    def _greedy(self, v: int, parent: int, blk: list[int], b_pos: int, v_source: bool):
+    def _greedy(self, v: int, blk: list[int], b_pos: int, v_source: bool):
         """Pack v's children onto the two chain runs; returns consumption and residual.
 
         A sink v holds the top point, so its runs start below it. Both runs
@@ -136,72 +123,76 @@ class _ConvexEmbedder:
         S, tree = self.S, self.tree
         runA = blk[0 if v_source else 1:b_pos]
         runB = blk[b_pos + 1:][::-1]
-        left, right = _run_order(runA, runB, S, blk[b_pos], blk[0])
+        # runA leads from the top toward the bottom, so it is the left chain
+        # iff the block runs counterclockwise around the hull
+        h = geo._homogeneous(S)
+        ccw = len(blk) < 3 or geo._orient(h[blk[0]], h[blk[1]], h[blk[2]]) > 0
+        left, right = (runA, runB) if ccw else (runB, runA)
         li = ri = 0
         residual = None
-        for c in tree.children(v, parent):
-            sz = tree.size(c, v)
+        for c in tree.children[v]:
+            sz = tree.size[c]
             if residual is None and sz > len(left) - li:
                 residual = c
                 continue
             if residual is None:
-                seg = left[li:li + sz]
+                run, start = left, li
                 li += sz
             else:
                 assert sz <= len(right) - ri, "post-residual subtree overflows the right chain"
-                seg = right[ri:ri + sz]
+                run, start = right, ri
                 ri += sz
-            _embed_one_sided_block(tree, c, v, seg if v_source else seg[::-1], self.assign)
+            first, step = (start, 1) if v_source else (start + sz - 1, -1)
+            _embed_one_sided_block(tree, c, run, first, step, self.assign)
         cA = li if left is runA else ri
         cB = ri if left is runA else li
         return cA, cB, residual
 
-    def sink_block(self, v: int, parent: int, blk: list[int]) -> None:
+    def sink_block(self, v: int, blk: list[int]):
         """Embed the subtree at sink v into the consecutive block blk; v -> t(blk)."""
         S = self.S
         if len(blk) == 1:
             self.assign[v] = blk[0]
-            return
+            return None
         blk = self._normalize(blk)
         self.assign[v] = blk[0]
         b_pos = min(range(len(blk)), key=lambda k: S[blk[k]].y)
-        cA, cB, residual = self._greedy(v, parent, blk, b_pos, v_source=False)
+        cA, cB, residual = self._greedy(v, blk, b_pos, v_source=False)
         assert residual is not None, "some subtree must spill into the residual block"
         sub = blk[1 + cA:len(blk) - cB]
         self._check_consecutive(sub)
-        assert len(sub) == self.tree.size(residual, v)
-        self.source_block(residual, v, sub)
+        assert len(sub) == self.tree.size[residual]
+        return self.source_block, residual, sub
 
-    def source_block(self, v: int, parent: int, blk: list[int]) -> None:
+    def source_block(self, v: int, blk: list[int]):
         """Embed the subtree at source v into blk; v ends at the bottom point or
         at the lower of the two leftover chain tops."""
         S = self.S
         if len(blk) == 1:
             self.assign[v] = blk[0]
-            return
+            return None
         blk = self._normalize(blk)
         b_pos = min(range(len(blk)), key=lambda k: S[blk[k]].y)
-        cA, cB, residual = self._greedy(v, parent, blk, b_pos, v_source=True)
+        cA, cB, residual = self._greedy(v, blk, b_pos, v_source=True)
         sub = blk[cA:len(blk) - cB]
         if residual is None:
             assert sub == [blk[b_pos]], "exact greedy fill must leave only the bottom point"
             self.assign[v] = blk[b_pos]
-            return
+            return None
         self._check_consecutive(sub)
-        assert len(sub) == self.tree.size(residual, v) + 1
+        assert len(sub) == self.tree.size[residual] + 1
         j = sub.index(blk[b_pos])
         if j == 0 or j == len(sub) - 1:
-            # leftovers confined to one chain: anchor at the bottom, rest is one-sided
+            # leftovers on one y-monotone chain: anchor at the bottom, rest top first
             self.assign[v] = sub[j]
-            rest = sub[1:] if j == 0 else sub[:-1]
-            rest = sorted(rest, key=lambda i: S[i].y, reverse=True)
-            _embed_one_sided_block(self.tree, residual, v, rest, self.assign)
-        else:
-            # leftovers on both chains: take the lower chain top, recurse on the rest
-            lo_end, hi_end = (0, -1) if S[sub[0]].y < S[sub[-1]].y else (-1, 0)
-            self.assign[v] = sub[lo_end]
-            rest = sub[1:] if lo_end == 0 else sub[:-1]
-            self.sink_block(residual, v, rest)
+            first, step = (len(sub) - 1, -1) if j == 0 else (0, 1)
+            _embed_one_sided_block(self.tree, residual, sub, first, step, self.assign)
+            return None
+        # leftovers on both chains: take the lower chain top, continue on the rest
+        lo_end = 0 if S[sub[0]].y < S[sub[-1]].y else -1
+        self.assign[v] = sub[lo_end]
+        rest = sub[1:] if lo_end == 0 else sub[:-1]
+        return self.sink_block, residual, rest
 
 
 def _require_switch_tree(T: Digraph) -> None:
@@ -241,7 +232,7 @@ def _embed_one_sided(T: Digraph, r: int, S: PointSet, sink: bool) -> Mapping:
         raise NotOneSided("point set is two-sided")
     block = sorted(range(len(S)), key=lambda i: S[i].y, reverse=sink)
     assign = [-1] * T.n
-    _embed_one_sided_block(_Tree(T), r, -1, block, assign)
+    _embed_one_sided_block(_Tree(T, r), r, block, 0, 1, assign)
     return Mapping(tuple(assign))
 
 
@@ -269,7 +260,10 @@ def embed_convex_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
     top = max(range(len(S)), key=lambda i: S[i].y)
     k = hull.index(top)
     cycle = hull[k:] + hull[:k]
-    _ConvexEmbedder(_Tree(T), S, assign).sink_block(r, -1, cycle)
+    step = _ConvexEmbedder(_Tree(T, r), S, assign).sink_block(r, cycle)
+    while step is not None:  # each block returns its residual step, or None
+        block, v, blk = step
+        step = block(v, blk)
     assert assign[r] == top
     assert all(p >= 0 for p in assign) and len(set(assign)) == T.n
     return Mapping(tuple(assign))
@@ -277,7 +271,6 @@ def embed_convex_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
 
 def embed_switch_tree(T: Digraph, S: PointSet) -> Mapping:
     """Embed switch tree T into convex general-position S, anchoring some sink on top."""
-    _require_switch_tree(T)
     _, sinks = dg.sources_and_sinks(T)
-    r = min(sinks)
-    return embed_convex_sink(T, r, S)
+    # embed_convex_sink validates T, once, before it looks at the anchor
+    return embed_convex_sink(T, min(sinks, default=0), S)

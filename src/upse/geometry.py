@@ -1,21 +1,23 @@
-"""Exact rational plane geometry.
+"""Exact rational plane geometry, with no floating point anywhere.
 
-All predicates compute with ``fractions.Fraction`` and are decided by exact
-sign tests; no floating point is used anywhere. Point sets are ordered
-containers of distinct points with cached classification queries (hull,
-general position, convexity), since the embedding algorithms ask the same
-questions repeatedly.
+Points have ``fractions.Fraction`` coordinates. Every predicate is one exact
+integer sign test: a point becomes homogeneous integers (X, Y, W), x = X/W and
+y = Y/W, and an orientation is the sign of one 3x3 integer determinant. Point
+sets are ordered containers of distinct points with cached queries (hull,
+general position, homogeneous coordinates), since the embedding algorithms
+ask the same questions repeatedly.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from math import gcd
+from typing import Iterable, NamedTuple
 
 from .errors import NotConvex, NotGeneralPosition
 
-Rational = Fraction
+Hom = tuple[int, int, int]
 
 
 class Point(NamedTuple):
@@ -34,30 +36,65 @@ class Orientation(enum.IntEnum):
     COUNTERCLOCKWISE = 1
 
 
+_ORIENTATIONS = tuple(map(Orientation, (0, 1, -1)))  # indexed by _orient's sign
+
+
 class Sidedness(enum.Enum):
     TWO_SIDED = "two_sided"
     LEFT_HEAVY = "left_heavy"
     RIGHT_HEAVY = "right_heavy"
 
 
+def _hom(p: Point) -> Hom:
+    """Homogeneous integer coordinates (X, Y, W) of p, with W > 0."""
+    x, y = p
+    xd, yd = x.denominator, y.denominator
+    return (x.numerator * yd, y.numerator * xd, xd * yd)
+
+
+def _det(a: Hom, b: Hom, c: Hom) -> int:
+    """det [a; b; c] of the homogeneous rows: W_a * W_b * W_c * cross(a, b, c)."""
+    (ax, ay, aw), (bx, by, bw), (cx, cy, cw) = a, b, c
+    return (ax * (by * cw - cy * bw) - ay * (bx * cw - cx * bw)
+            + aw * (bx * cy - cx * by))
+
+
+def _orient(a: Hom, b: Hom, c: Hom) -> int:
+    """1 for a counterclockwise turn a -> b -> c, -1 for clockwise, 0 if collinear."""
+    d = _det(a, b, c)
+    return (d > 0) - (d < 0)
+
+
+def _on_segment(a: Hom, b: Hom, p: Hom) -> bool:
+    # for collinear a != b and p: (a - p).(b - p) <= 0, times W_a W_b W_p^2 > 0
+    (ax, ay, aw), (bx, by, bw), (px, py, pw) = a, b, p
+    return ((ax * pw - px * aw) * (bx * pw - px * bw)
+            + (ay * pw - py * aw) * (by * pw - py * bw)) <= 0
+
+
 def cross(o: Point, a: Point, b: Point) -> Fraction:
     """Signed cross product of (a - o) and (b - o)."""
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+    ho, ha, hb = _hom(o), _hom(a), _hom(b)
+    return Fraction(_det(ho, ha, hb), ho[2] * ha[2] * hb[2])
 
 
 def orientation(p: Point, q: Point, r: Point) -> Orientation:
-    c = cross(p, q, r)
-    if c > 0:
-        return Orientation.COUNTERCLOCKWISE
-    if c < 0:
-        return Orientation.CLOCKWISE
-    return Orientation.COLLINEAR
+    return _ORIENTATIONS[_orient(_hom(p), _hom(q), _hom(r))]
 
 
-def _on_segment(a: Point, b: Point, p: Point) -> bool:
-    # assumes a, b, p collinear
-    return (min(a.x, b.x) <= p.x <= max(a.x, b.x)
-            and min(a.y, b.y) <= p.y <= max(a.y, b.y))
+def _segments_cross(a: Hom, b: Hom, c: Hom, d: Hom) -> bool:
+    # segments_cross on homogeneous coordinates; equal points have equal tuples
+    if a == b or c == d:
+        raise ValueError("degenerate segment")
+    d1, d2 = _orient(c, d, a), _orient(c, d, b)
+    d3, d4 = _orient(a, b, c), _orient(a, b, d)
+    if d1 or d2 or d3 or d4:
+        # two lines: the segments meet in at most one point, harmless iff it
+        # is a shared endpoint
+        return d1 * d2 <= 0 and d3 * d4 <= 0 and not {a, b} & {c, d}
+    # one line: they cross iff they share more than one point
+    return len({p for s, t, p in ((c, d, a), (c, d, b), (a, b, c), (a, b, d))
+                if _on_segment(s, t, p)}) > 1
 
 
 def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
@@ -67,30 +104,7 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     shared point does, including an endpoint of one segment interior to the
     other and collinear overlap of positive length.
     """
-    if a == b or c == d:
-        raise ValueError("degenerate segment")
-    d1 = orientation(c, d, a)
-    d2 = orientation(c, d, b)
-    d3 = orientation(a, b, c)
-    d4 = orientation(a, b, d)
-    if d1 != d2 and d3 != d4 and 0 not in (d1, d2, d3, d4):
-        return True  # proper interior crossing
-    touches = set()
-    if d1 == 0 and _on_segment(c, d, a):
-        touches.add(a)
-    if d2 == 0 and _on_segment(c, d, b):
-        touches.add(b)
-    if d3 == 0 and _on_segment(a, b, c):
-        touches.add(c)
-    if d4 == 0 and _on_segment(a, b, d):
-        touches.add(d)
-    if not touches:
-        return False
-    if len(touches) > 1:
-        return True  # collinear overlap of positive length
-    p = touches.pop()
-    # single contact point: harmless iff it is an endpoint of both segments
-    return not (p in (a, b) and p in (c, d))
+    return _segments_cross(_hom(a), _hom(b), _hom(c), _hom(d))
 
 
 class PointSet:
@@ -105,6 +119,7 @@ class PointSet:
         self.points: tuple[Point, ...] = pts
         self._hull: tuple[int, ...] | None = None
         self._general: bool | None = None
+        self._hom: tuple[Hom, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -122,6 +137,13 @@ class PointSet:
         return f"PointSet({list(self.points)!r})"
 
 
+def _homogeneous(S: PointSet) -> tuple[Hom, ...]:
+    """The homogeneous integer coordinates of every point, by index."""
+    if S._hom is None:
+        S._hom = tuple(map(_hom, S.points))
+    return S._hom
+
+
 def convex_hull(S: PointSet) -> tuple[int, ...]:
     """Indices of strict hull vertices in counterclockwise order from the lowest point.
 
@@ -135,18 +157,18 @@ def convex_hull(S: PointSet) -> tuple[int, ...]:
     if n == 1:
         S._hull = (0,)
         return S._hull
+    h = _homogeneous(S)
+
+    def chain(seq) -> list[int]:  # one monotone chain, left turns only
+        out: list[int] = []
+        for i in seq:
+            while len(out) >= 2 and _orient(h[out[-2]], h[out[-1]], h[i]) <= 0:
+                out.pop()
+            out.append(i)
+        return out
+
     order = sorted(range(n), key=lambda i: pts[i])
-    lower: list[int] = []
-    for i in order:
-        while len(lower) >= 2 and cross(pts[lower[-2]], pts[lower[-1]], pts[i]) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(order):
-        while len(upper) >= 2 and cross(pts[upper[-2]], pts[upper[-1]], pts[i]) <= 0:
-            upper.pop()
-        upper.append(i)
-    hull = lower[:-1] + upper[:-1]
+    hull = chain(order)[:-1] + chain(reversed(order))[:-1]
     low = min(range(n), key=lambda i: (pts[i].y, pts[i].x))
     if low in hull:
         k = hull.index(low)
@@ -164,32 +186,33 @@ def is_general_position(S: PointSet) -> bool:
     if len(ys) != len(pts):
         S._general = False
         return False
-    # duplicate slope around a common point means a collinear triple
-    for i, p in enumerate(pts):
-        slopes = set()
-        for q in pts[i + 1:]:
-            dx = q.x - p.x
-            dy = q.y - p.y
-            key = Fraction(dy, dx) if dx else None
-            if key in slopes:
+    # a repeated direction around a common point means a collinear triple;
+    # (q - p) * W_p * W_q, reduced by its gcd, with dy > 0 since the ys differ
+    h = _homogeneous(S)
+    for i, (px, py, pw) in enumerate(h):
+        directions = set()
+        for qx, qy, qw in h[i + 1:]:
+            dx = qx * pw - px * qw
+            dy = qy * pw - py * qw
+            g = gcd(dx, dy) if dy > 0 else -gcd(dx, dy)
+            key = (dx // g, dy // g)
+            if key in directions:
                 S._general = False
                 return False
-            slopes.add(key)
+            directions.add(key)
     S._general = True
     return True
 
 
 def _convex_including_small(S: PointSet) -> bool:
-    if len(S) < 3:
-        return True
-    return len(convex_hull(S)) == len(S)
+    return len(S) < 3 or len(convex_hull(S)) == len(S)
 
 
 def is_convex_position(S: PointSet) -> bool:
     """True iff no point lies in the convex hull of the others (|S| >= 3)."""
     if len(S) < 3:
         raise ValueError("is_convex_position requires at least 3 points")
-    return len(convex_hull(S)) == len(S)
+    return _convex_including_small(S)
 
 
 class SideSplit(NamedTuple):
@@ -199,17 +222,13 @@ class SideSplit(NamedTuple):
     top: int
 
 
-def _side_of_line(p: Point, a: Point, b: Point) -> Fraction:
-    """Horizontal-ray side test against the non-horizontal line through a and b.
-
-    The result has the sign of x(p) minus the line's x at height y(p): positive
-    when p is right of the line, negative when left, zero on it.
-    """
+def _side_of_line(p: Point, a: Point, b: Point) -> int:
+    """Horizontal-ray side test against the non-horizontal line through a and b:
+    1 when p is right of the line, -1 when left, 0 on it."""
     if a.y == b.y:
         raise ValueError("line through a and b must not be horizontal")
     lo, hi = (a, b) if a.y < b.y else (b, a)
-    # cleared of the positive denominator (hi.y - lo.y)
-    return (p.x - lo.x) * (hi.y - lo.y) - (hi.x - lo.x) * (p.y - lo.y)
+    return -_orient(_hom(lo), _hom(hi), _hom(p))
 
 
 def point_right_of_line(p: Point, a: Point, b: Point) -> bool:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from upse import Digraph, Mapping, Point, PointSet, verify_upse
+from upse import Digraph, Mapping, Point, PointSet, convex_hull, verify_upse
 
 
 def circle_point(s: Fraction, left: bool = False) -> Point:
@@ -179,3 +179,86 @@ def naive_depth(S: PointSet) -> int:
         remaining = [p for i, p in enumerate(remaining) if i not in strict]
         depth += 1
     return depth
+
+
+def frac_cross(o: Point, a: Point, b: Point) -> Fraction:
+    """Cross product of (a - o) and (b - o) in Fraction arithmetic: the formula
+    geometry.cross used before the integer kernel."""
+    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
+
+
+def frac_side_of_line(p: Point, a: Point, b: Point) -> Fraction:
+    """x(p) minus the x of the line ab at height y(p), times y(hi) - y(lo) > 0:
+    positive right of the line, negative left. ValueError on a horizontal line."""
+    if a.y == b.y:
+        raise ValueError("line through a and b must not be horizontal")
+    lo, hi = (a, b) if a.y < b.y else (b, a)
+    return (p.x - lo.x) * (hi.y - lo.y) - (hi.x - lo.x) * (p.y - lo.y)
+
+
+def frac_segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """segments_cross from Fraction cross products and bounding boxes."""
+    if a == b or c == d:
+        raise ValueError("degenerate segment")
+
+    def sign(o, p, q):
+        v = frac_cross(o, p, q)
+        return (v > 0) - (v < 0)
+
+    def on_segment(s, t, p):  # s, t, p collinear
+        return (min(s.x, t.x) <= p.x <= max(s.x, t.x)
+                and min(s.y, t.y) <= p.y <= max(s.y, t.y))
+
+    d1, d2, d3, d4 = sign(c, d, a), sign(c, d, b), sign(a, b, c), sign(a, b, d)
+    if d1 != d2 and d3 != d4 and 0 not in (d1, d2, d3, d4):
+        return True
+    touches = {p for o, (s, t), p in ((d1, (c, d), a), (d2, (c, d), b),
+                                       (d3, (a, b), c), (d4, (a, b), d))
+               if o == 0 and on_segment(s, t, p)}
+    if len(touches) != 1:
+        return len(touches) > 1
+    p = touches.pop()
+    return not (p in (a, b) and p in (c, d))
+
+
+def slope_general_position(points: list[Point]) -> bool:
+    """Distinct y and no repeated Fraction slope around any point: the test
+    geometry.is_general_position used before the integer kernel."""
+    if len({p.y for p in points}) != len(points):
+        return False
+    for i, p in enumerate(points):
+        slopes = set()
+        for q in points[i + 1:]:
+            key = Fraction(q.y - p.y, q.x - p.x) if q.x != p.x else None
+            if key in slopes:
+                return False
+            slopes.add(key)
+    return True
+
+
+def zigzag_path(n: int) -> Digraph:
+    """The switch tree x0 -> x1 <- x2 -> x3 <- ... on n vertices."""
+    return Digraph([f"x{i}" for i in range(n)],
+                   [(i, i + 1) if i % 2 == 0 else (i + 1, i) for i in range(n - 1)])
+
+
+def convex_chords_ok(G: Digraph, S: PointSet, m: Mapping) -> bool:
+    """Whether m draws G on the convex general-position set S: injective, every
+    arc rises, and no two arcs with four distinct endpoints interleave on the
+    hull cycle, which on convex points is exactly a crossing. Arcs that share
+    an endpoint cannot overlap without three collinear points. Integer work
+    only, so it checks drawings too large for verify_upse."""
+    a = m.assignment
+    if len(a) != G.n or len(set(a)) != G.n:
+        return False
+    if any(not S[a[h]].y > S[a[t]].y for t, h in G.arcs):
+        return False
+    pos = {p: k for k, p in enumerate(convex_hull(S))}
+    if len(pos) != len(S):
+        return False
+    chords = [tuple(sorted((pos[a[t]], pos[a[h]]))) for t, h in G.arcs]
+    for i, (p, q) in enumerate(chords):
+        for r, s in chords[i + 1:]:
+            if r not in (p, q) and s not in (p, q) and (p < r < q) != (p < s < q):
+                return False
+    return True

@@ -262,6 +262,24 @@ def test_unwritable_out_is_an_input_error(command, tmp_path, capsys):
     assert err["kind"] == "FormatError" and "cannot write" in err["message"]
 
 
+@pytest.mark.parametrize("command, callee", [("embed", "embed_switch_tree"),
+                                             ("decide", "decide_upse")])
+@pytest.mark.parametrize("error", [RecursionError("maximum recursion depth exceeded"),
+                                   MemoryError()])
+def test_deep_or_huge_input_is_an_input_error(command, callee, error, tmp_path,
+                                              capsys, monkeypatch):
+    def give_up(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(f"upse.cli.{callee}", give_up)
+    g, s = star_files(tmp_path)
+    assert main([command, "--graph", g, "--points", s]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["kind"] == type(error).__name__ and err["message"]
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         g, s = path_files(tmp_path)

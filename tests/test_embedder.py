@@ -8,7 +8,8 @@ from upse import (Digraph, Mapping, NotOneSided, NotSink, NotSource,
                   embed_convex_sink, embed_one_sided_sink,
                   embed_one_sided_source, embed_switch_tree, pt, verify_upse)
 
-from helpers import random_convex, random_switch_tree
+from helpers import (convex_chords_ok, random_convex, random_switch_tree,
+                     zigzag_path)
 
 
 def in_star(k):
@@ -174,3 +175,26 @@ class TestSwitchTreeEmbedding:
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0
         assert valid(T, S, m)
+
+
+class TestDeepTrees:
+    """Nothing in the embedder recurses per tree level, so depth is unbounded."""
+
+    @pytest.mark.parametrize("sidedness", ["right", "mixed"])
+    def test_zigzag_path_of_1100_vertices(self, sidedness):
+        T = zigzag_path(1100)
+        S = random_convex(random.Random(6), 1100, sidedness)
+        assert convex_chords_ok(T, S, embed_switch_tree(T, S))
+
+    def test_chord_check_agrees_with_verify(self):
+        rng = random.Random(16)
+        for _ in range(150):
+            n = rng.randrange(2, 12)
+            T = random_switch_tree(rng, n)
+            S = random_convex(rng, n, rng.choice(("left", "right", "mixed")))
+            m = list(embed_switch_tree(T, S).assignment)
+            if rng.random() < 0.7:
+                i, j = rng.sample(range(n), 2)
+                m[i], m[j] = m[j], m[i]
+            m = Mapping(tuple(m))
+            assert convex_chords_ok(T, S, m) == valid(T, S, m)

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from upse import (NotConvex, NotGeneralPosition, Orientation, Point, PointSet,
                   Sidedness, classify_sides, convex_depth, convex_hull, cross,
@@ -9,7 +11,9 @@ from upse import (NotConvex, NotGeneralPosition, Orientation, Point, PointSet,
                   is_one_sided, orientation, point_left_of_line,
                   point_right_of_line, pt, segments_cross)
 
-from helpers import circle_point, naive_depth, random_convex, random_general
+from helpers import (circle_point, frac_cross, frac_segments_cross,
+                     frac_side_of_line, jarvis_hull, naive_depth, random_convex,
+                     random_general, slope_general_position)
 
 
 def square(side=2):
@@ -96,6 +100,8 @@ class TestGeneralPosition:
 
     def test_collinear_triple_fails(self):
         assert not is_general_position(PointSet([pt(0, 0), pt(1, 1), pt(2, 2)]))
+        # middle point first: its directions to the other two are opposite
+        assert not is_general_position(PointSet([pt(1, 1), pt(0, 0), pt(2, 2)]))
 
     def test_good_set(self):
         assert is_general_position(PointSet([pt(0, 0), pt(3, 1), pt(1, 2), pt(-2, 5)]))
@@ -221,3 +227,84 @@ class TestPredicateFuzz:
             dx, dy = rng.randrange(-9, 10), rng.randrange(-9, 10)
             shift = lambda a: pt(a.x + dx, a.y + dy)
             assert orientation(shift(p), shift(q), shift(r)) is o
+
+
+# Points of every representation the package meets: rational-circle points
+# (embed), integers above 10^12 (the reduction gadget), mixed denominators,
+# and a small grid where collinear and equal-y triples are common.
+circle_points = st.builds(lambda k, left: circle_point(Fraction(k, 1000), left),
+                          st.integers(-999, 999), st.booleans())
+huge = st.integers(10 ** 12, 10 ** 15).flatmap(lambda v: st.sampled_from((v, -v)))
+huge_points = st.builds(Point, huge.map(Fraction), huge.map(Fraction))
+mixed = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+mixed_points = st.builds(Point, mixed, mixed)
+grid_points = st.builds(pt, st.integers(-3, 3), st.integers(-3, 3))
+points = st.one_of(circle_points, huge_points, mixed_points, grid_points)
+
+
+@st.composite
+def degenerate(draw, a, b):
+    """A point collinear with a and b, or at the height of a, or a fresh one."""
+    kind = draw(st.sampled_from(("collinear", "equal_y", "free")))
+    if kind == "collinear":
+        t = draw(st.fractions(min_value=-2, max_value=3, max_denominator=7))
+        return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+    if kind == "equal_y":
+        return Point(draw(points).x, a.y)
+    return draw(points)
+
+
+@st.composite
+def triples(draw):
+    a, b = draw(points), draw(points)
+    return a, b, draw(degenerate(a, b))
+
+
+@st.composite
+def point_lists(draw):
+    pts = draw(st.lists(points, min_size=1, max_size=9))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, len(pts) - 1))
+        pts.append(draw(degenerate(pts[i], pts[j])))
+    return draw(st.permutations(list(dict.fromkeys(pts))))
+
+
+class TestKernelAgainstFractionOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(triples())
+    def test_orientation_cross_and_sides(self, t):
+        a, b, c = t
+        value = frac_cross(a, b, c)
+        assert cross(a, b, c) == value
+        assert orientation(a, b, c) is Orientation((value > 0) - (value < 0))
+        p, a, b = t
+        if a.y == b.y:
+            for test in (point_left_of_line, point_right_of_line):
+                with pytest.raises(ValueError):
+                    test(p, a, b)
+            return
+        side = frac_side_of_line(p, a, b)
+        assert point_right_of_line(p, a, b) == (side > 0)
+        assert point_left_of_line(p, a, b) == (side < 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(triples(), st.data())
+    def test_segments_cross(self, t, data):
+        a, b, c = t
+        d = data.draw(st.one_of(degenerate(a, b), degenerate(c, a), st.sampled_from(t)))
+        for seg in ((a, b, c, d), (a, c, b, d), (a, d, c, b)):
+            if seg[0] == seg[1] or seg[2] == seg[3]:
+                with pytest.raises(ValueError):
+                    segments_cross(*seg)
+            else:
+                assert segments_cross(*seg) == frac_segments_cross(*seg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_lists())
+    def test_convex_hull_matches_gift_wrapping(self, pts):
+        assert list(convex_hull(PointSet(pts))) == jarvis_hull(pts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_lists())
+    def test_general_position_matches_slopes(self, pts):
+        assert is_general_position(PointSet(pts)) == slope_general_position(pts)
