@@ -12,12 +12,17 @@ subtrees are packed greedily onto the two y-monotone hull chains: left chain
 top-down as long as they fit, the first subtree that does not fit is withheld
 as the residual, the rest continue on the right chain top-down. The unused
 points then form a consecutive arc around the bottom point, and the residual
-subtree recurses into it anchored at a source.
+subtree goes into it anchored at a source. A source packs its subtrees the
+same way and takes the bottom point, or, when leftovers remain on both
+chains, the lower of the two chain tops and hands its residual on as a sink.
 
-Every intermediate block is a consecutive arc of the hull cycle; the
-InternalNonConsecutiveResidual assertion enforces this at each residual step.
-An explicit stack and a loop over residual steps replace recursion, so the
-depth of the tree is unbounded.
+Every block is a window (first, length, step) on the hull cycle, the hull
+listed counterclockwise from the top point, and every residual is a
+sub-window of its block. The cycle and the y-rank of each of its positions
+are built once; after that each step is integer arithmetic on positions and
+ranks, and a residual window whose length does not match its subtree raises
+InternalNonConsecutiveResidual. An explicit stack and a loop over residual
+steps replace recursion, so the depth of the tree is unbounded.
 """
 
 from __future__ import annotations
@@ -95,104 +100,82 @@ def _embed_one_sided_block(tree: _Tree, v: int, block: list[int], first: int,
 
 
 class _ConvexEmbedder:
-    def __init__(self, tree: _Tree, S: PointSet, assign: list[int]):
+    """Blocks are windows on the hull cycle: length positions from first, in
+    steps of step = +-1. Every residual is a sub-window of its block, so the
+    positions stay in [0, n) and no list is ever copied."""
+
+    def __init__(self, tree: _Tree, cycle: tuple[int, ...], rank: list[int],
+                 bottom: int, assign: list[int]):
         self.tree = tree
-        self.S = S
+        self.cycle = cycle    # the hull counterclockwise from the top point
+        self.rank = rank      # the y-rank of the point at each cycle position
+        self.bottom = bottom  # the cycle position of the lowest point
         self.assign = assign
 
-    def _check_consecutive(self, block: list[int]) -> None:
-        if not geo.is_consecutive(block, self.S):
-            raise InternalNonConsecutiveResidual(
-                "residual block is not a consecutive hull arc")
-
-    def _normalize(self, blk: list[int]) -> list[int]:
-        # the block's highest point must sit at an end; put it in front
-        top_at = max(range(len(blk)), key=lambda k: self.S[blk[k]].y)
-        if top_at == 0:
-            return blk
-        assert top_at == len(blk) - 1, "block top must lie at an end of the arc"
-        return blk[::-1]
-
-    def _greedy(self, v: int, blk: list[int], b_pos: int, v_source: bool):
-        """Pack v's children onto the two chain runs; returns consumption and residual.
-
-        A sink v holds the top point, so its runs start below it. Both runs
-        list points top-down, which is anchor-first for the sink children of
-        a source and must be reversed for the source children of a sink.
-        """
-        S, tree = self.S, self.tree
-        runA = blk[0 if v_source else 1:b_pos]
-        runB = blk[b_pos + 1:][::-1]
-        # runA leads from the top toward the bottom, so it is the left chain
-        # iff the block runs counterclockwise around the hull
-        h = geo._homogeneous(S)
-        ccw = len(blk) < 3 or geo._orient(h[blk[0]], h[blk[1]], h[blk[2]]) > 0
-        left, right = (runA, runB) if ccw else (runB, runA)
+    def block(self, v: int, sink: bool, first: int, length: int, step: int):
+        """Embed the subtree at v into a window; a sink takes the window's top
+        point, a source its bottom point or the lower of the two leftover
+        chain tops. Returns the residual's (vertex, sink, window), or None."""
+        cycle, rank, tree, assign = self.cycle, self.rank, self.tree, self.assign
+        if length == 1:
+            assign[v] = cycle[first]
+            return None
+        last = first + (length - 1) * step
+        if rank[last] > rank[first]:  # put the window's top in front
+            first, last, step = last, first, -step
+        # y falls along the cycle from the top to the global bottom, so the
+        # window's bottom is that point if it holds it, and its far end if not
+        b = (self.bottom - first) * step
+        if not 0 <= b < length:
+            b = length - 1
+        bottom = first + b * step
+        if sink:
+            assign[v] = cycle[first]
+        # run A leads from the top (below it, for a sink) down to the bottom,
+        # run B up from the far end; both list points top-down. A strictly
+        # convex polygon turns left at every triple, so run A is the left
+        # chain iff the window runs counterclockwise
+        runA = (first + sink * step, step, b - sink)
+        runB = (last, -step, length - 1 - b)
+        ccw = length < 3 or step > 0
+        (lf, ls, ln), (rf, rs, rn) = (runA, runB) if ccw else (runB, runA)
         li = ri = 0
         residual = None
         for c in tree.children[v]:
             sz = tree.size[c]
-            if residual is None and sz > len(left) - li:
+            if residual is None and sz > ln - li:
                 residual = c
                 continue
             if residual is None:
-                run, start = left, li
+                f, s = lf + li * ls, ls
                 li += sz
             else:
-                assert sz <= len(right) - ri, "post-residual subtree overflows the right chain"
-                run, start = right, ri
+                assert sz <= rn - ri, "post-residual subtree overflows the right chain"
+                f, s = rf + ri * rs, rs
                 ri += sz
-            first, step = (start, 1) if v_source else (start + sz - 1, -1)
-            _embed_one_sided_block(tree, c, run, first, step, self.assign)
-        cA = li if left is runA else ri
-        cB = ri if left is runA else li
-        return cA, cB, residual
-
-    def sink_block(self, v: int, blk: list[int]):
-        """Embed the subtree at sink v into the consecutive block blk; v -> t(blk)."""
-        S = self.S
-        if len(blk) == 1:
-            self.assign[v] = blk[0]
+            if sink:  # a sink's children are sources: anchor them at the run's bottom
+                f, s = f + (sz - 1) * s, -s
+            _embed_one_sided_block(tree, c, cycle, f, s, assign)
+        cA, cB = (li, ri) if ccw else (ri, li)
+        # the leftover window, with a source's own point
+        first, length = first + (cA + sink) * step, length - cA - cB - sink
+        if residual is None and not sink:  # an exact fill leaves only the bottom
+            assign[v] = cycle[first]
             return None
-        blk = self._normalize(blk)
-        self.assign[v] = blk[0]
-        b_pos = min(range(len(blk)), key=lambda k: S[blk[k]].y)
-        cA, cB, residual = self._greedy(v, blk, b_pos, v_source=False)
-        assert residual is not None, "some subtree must spill into the residual block"
-        sub = blk[1 + cA:len(blk) - cB]
-        self._check_consecutive(sub)
-        assert len(sub) == self.tree.size[residual]
-        return self.source_block, residual, sub
-
-    def source_block(self, v: int, blk: list[int]):
-        """Embed the subtree at source v into blk; v ends at the bottom point or
-        at the lower of the two leftover chain tops."""
-        S = self.S
-        if len(blk) == 1:
-            self.assign[v] = blk[0]
+        if residual is None or length != tree.size[residual] + (not sink):
+            raise InternalNonConsecutiveResidual(
+                "residual window does not match its subtree's size")
+        if sink:
+            return residual, False, first, length, step
+        last = first + (length - 1) * step
+        if rank[last] < rank[first]:  # put the leftover's lower end in front
+            first, last, step = last, first, -step
+        assign[v] = cycle[first]
+        if first == bottom:  # leftovers on one y-monotone chain: the rest top first
+            _embed_one_sided_block(tree, residual, cycle, last, -step, assign)
             return None
-        blk = self._normalize(blk)
-        b_pos = min(range(len(blk)), key=lambda k: S[blk[k]].y)
-        cA, cB, residual = self._greedy(v, blk, b_pos, v_source=True)
-        sub = blk[cA:len(blk) - cB]
-        if residual is None:
-            assert sub == [blk[b_pos]], "exact greedy fill must leave only the bottom point"
-            self.assign[v] = blk[b_pos]
-            return None
-        self._check_consecutive(sub)
-        assert len(sub) == self.tree.size[residual] + 1
-        j = sub.index(blk[b_pos])
-        if j == 0 or j == len(sub) - 1:
-            # leftovers on one y-monotone chain: anchor at the bottom, rest top first
-            self.assign[v] = sub[j]
-            first, step = (len(sub) - 1, -1) if j == 0 else (0, 1)
-            _embed_one_sided_block(self.tree, residual, sub, first, step, self.assign)
-            return None
-        # leftovers on both chains: take the lower chain top, continue on the rest
-        lo_end = 0 if S[sub[0]].y < S[sub[-1]].y else -1
-        self.assign[v] = sub[lo_end]
-        rest = sub[1:] if lo_end == 0 else sub[:-1]
-        return self.sink_block, residual, rest
+        # leftovers on both chains: v took the lower chain top; go on with the rest
+        return residual, True, first + step, length - 1, step
 
 
 def _require_switch_tree(T: Digraph) -> None:
@@ -253,18 +236,19 @@ def embed_convex_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
     _require_size(T, S)
     _require_convex_general(S)
     assign = [-1] * T.n
-    if len(S) == 1:
-        assign[r] = 0
-        return Mapping(tuple(assign))
-    hull = list(geo.convex_hull(S))
-    top = max(range(len(S)), key=lambda i: S[i].y)
-    k = hull.index(top)
-    cycle = hull[k:] + hull[:k]
-    step = _ConvexEmbedder(_Tree(T, r), S, assign).sink_block(r, cycle)
-    while step is not None:  # each block returns its residual step, or None
-        block, v, blk = step
-        step = block(v, blk)
-    assert assign[r] == top
+    n = len(S)
+    hull = geo.convex_hull(S)
+    by_y = sorted(range(n), key=lambda k: S[hull[k]].y)  # hull positions, lowest first
+    top = by_y[-1]
+    cycle = hull[top:] + hull[:top]  # counterclockwise from the top point
+    rank = [0] * n
+    for y, k in enumerate(by_y):
+        rank[(k - top) % n] = y
+    embedder = _ConvexEmbedder(_Tree(T, r), cycle, rank, (by_y[0] - top) % n, assign)
+    step = (r, True, 0, n, 1)
+    while step is not None:  # each block returns its residual's step, or None
+        step = embedder.block(*step)
+    assert assign[r] == cycle[0]
     assert all(p >= 0 for p in assign) and len(set(assign)) == T.n
     return Mapping(tuple(assign))
 

@@ -55,7 +55,7 @@ class SizeMismatch(UpseError):
 
 
 class InternalNonConsecutiveResidual(UpseError):
-    """Internal invariant failed: a residual block stopped being a consecutive hull arc."""
+    """Internal invariant failed: a residual hull window does not match its subtree's size."""
 
 
 # constructions

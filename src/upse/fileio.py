@@ -19,7 +19,7 @@ from .embedder import Mapping
 from .errors import FormatError, UpseError
 from .geometry import Point, PointSet
 
-_RATIONAL = re.compile(r"^(-?\d+)/(\d+)$")
+_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def rational_from_json(v: Any) -> Fraction:
@@ -28,7 +28,7 @@ def rational_from_json(v: Any) -> Fraction:
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        m = _RATIONAL.match(v)
+        m = _RATIONAL.fullmatch(v)
         if not m:
             raise FormatError(f"malformed rational {v!r}")
         num, den = int(m.group(1)), int(m.group(2))

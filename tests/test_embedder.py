@@ -1,3 +1,4 @@
+import functools
 import random
 import time
 
@@ -8,8 +9,8 @@ from upse import (Digraph, Mapping, NotOneSided, NotSink, NotSource,
                   embed_convex_sink, embed_one_sided_sink,
                   embed_one_sided_source, embed_switch_tree, pt, verify_upse)
 
-from helpers import (convex_chords_ok, random_convex, random_switch_tree,
-                     zigzag_path)
+from helpers import (convex_chords_ok, orient_as_switch, random_convex,
+                     random_switch_tree, random_tree_edges, zigzag_path)
 
 
 def in_star(k):
@@ -123,6 +124,18 @@ class TestConvexSink:
         with pytest.raises(NotSink):
             embed_convex_sink(T, 2, S)
 
+    def test_left_chain_first_then_residual_then_right_chain(self):
+        # points: bottom, right, left, top
+        S = PointSet([pt(0, 0), pt(2, 1), pt(-2, 2), pt(0, 4)])
+        assert embed_convex_sink(in_star(3), 0, S).assignment == (3, 2, 0, 1)
+
+    def test_source_on_one_chain_takes_the_bottom(self):
+        # a right-sided set: the residual source x1 is left the bottom and the
+        # whole right chain, so it takes the bottom and x0 the chain top first
+        T = Digraph([f"x{i}" for i in range(5)], [(1, 0), (1, 2), (3, 0), (4, 0)])
+        S = PointSet([pt(0, 0), pt(3, 1), pt(4, 3), pt(3, 5), pt(0, 6)])
+        assert embed_convex_sink(T, 2, S).assignment == (3, 0, 4, 2, 1)
+
 
 class TestSwitchTreeEmbedding:
     def test_always_valid_on_convex_sets(self):
@@ -177,14 +190,39 @@ class TestSwitchTreeEmbedding:
         assert valid(T, S, m)
 
 
+@functools.lru_cache(maxsize=None)
+def deep_set(sidedness):
+    # shared, so that general position of each 1 100-point set is checked once
+    return random_convex(random.Random(6), 1100, sidedness)
+
+
+def deep_shape_edges(shape, n):
+    if shape == "caterpillar":  # spine 0, 3, 6, ...; two legs on each spine vertex
+        return [(v - 3 if v % 3 == 0 else v - v % 3, v) for v in range(1, n)]
+    if shape == "spider":  # ten legs of equal length from vertex 0
+        return [(0 if v <= 10 else v - 10, v) for v in range(1, n)]
+    if shape == "broom":  # a handle of n/2 vertices, then bristles from its end
+        return [(v - 1 if v <= n // 2 else n // 2, v) for v in range(1, n)]
+    return random_tree_edges(random.Random(26), n)
+
+
 class TestDeepTrees:
     """Nothing in the embedder recurses per tree level, so depth is unbounded."""
 
     @pytest.mark.parametrize("sidedness", ["right", "mixed"])
     def test_zigzag_path_of_1100_vertices(self, sidedness):
         T = zigzag_path(1100)
-        S = random_convex(random.Random(6), 1100, sidedness)
+        S = deep_set(sidedness)
         assert convex_chords_ok(T, S, embed_switch_tree(T, S))
+
+    @pytest.mark.parametrize("shape", ["caterpillar", "spider", "broom", "random"])
+    def test_shapes_of_1100_vertices_on_a_two_sided_set(self, shape):
+        T = orient_as_switch(deep_shape_edges(shape, 1100), 1100, 0)
+        S = deep_set("mixed")
+        m = embed_switch_tree(T, S)
+        assert convex_chords_ok(T, S, m)
+        anchor = min(v for v in range(T.n) if not T.out_neighbors[v])
+        assert S[m[anchor]].y == max(p.y for p in S)
 
     def test_chord_check_agrees_with_verify(self):
         rng = random.Random(16)

@@ -40,7 +40,8 @@ class TestRationals:
             rational_from_json(bad)
 
     @pytest.mark.parametrize("bad", ["1.5", "1/2/3", "/3", "2/", " 1/2",
-                                     "0x10", "", 1.5, True, None, [1, 2]])
+                                     "0x10", "", 1.5, True, None, [1, 2],
+                                     "1/2\n", "\u0661/\u0662"])
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(FormatError):
             rational_from_json(bad)

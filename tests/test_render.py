@@ -2,6 +2,7 @@
 
 import random
 import re
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,14 @@ class TestLabels:
                          RenderSpec(labels=True))
         assert ">r</text>" in svg and ">a</text>" in svg
         assert ">0</text>" not in svg
+
+    def test_markup_in_names_is_escaped(self):
+        G = Digraph(["a<b", "c&d", 'e">', "f"], [(0, 1), (0, 2), (0, 3)])
+        svg = render_svg(fan_points(), G, Mapping((0, 1, 2, 3)),
+                         RenderSpec(labels=True))
+        root = ET.fromstring(svg)
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert sorted(texts) == sorted(G.vertices)
 
 
 class TestPrecisionAndFit:
