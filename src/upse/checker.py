@@ -9,13 +9,19 @@ only happen off general position. All arithmetic is exact.
 decide_upse is an exhaustive backtracking search. Points are consumed bottom
 to top; a vertex may take the next point only once all its in-neighbors are
 placed, which makes the upward condition hold by construction and leaves
-planarity as the only thing to check per placement. On convex point sets and
-tree inputs an additional pruning rule applies: removing any vertex splits
-the tree into subtrees, and in every valid drawing each subtree occupies a
-run of consecutive points along the hull cycle. A partial assignment that
-cannot be extended to such runs is abandoned early. Each subtree keeps a
-cached witness window; windows stay valid across backtracking, so they are
-rechecked only when a new placement lands inside or outside them.
+planarity as the only thing to check per placement. The search runs from an
+explicit stack, one iterator over the candidate vertices per depth, so its
+depth is not bounded by Python's recursion limit.
+
+On convex point sets and tree inputs an additional pruning rule applies:
+removing a tree edge splits the tree into two sides, and in every valid
+drawing each side occupies a run of consecutive points along the hull cycle
+(a side fits a run exactly when the other side fits the complementary run).
+With the tree rooted once, each edge stands for the subtree under its child
+end; it keeps the hull positions of its placed vertices as one bit mask and a
+cached witness window. After every placement each edge is checked, starting from
+its witness, and a partial assignment that leaves some edge without a window
+is abandoned.
 """
 
 from __future__ import annotations
@@ -109,16 +115,16 @@ class SolverOptions:
     use_consecutive_pruning: bool = True
     node_budget: int | None = None
 
+    def __post_init__(self):
+        if self.node_budget is not None and self.node_budget < 0:
+            raise ValueError(f"node budget must be non-negative, got {self.node_budget}")
+
 
 @dataclass(frozen=True)
 class DecideResult:
     result: str  # "embeddable" | "not_embeddable" | "budget_exhausted"
     mapping: Mapping | None
     nodes_explored: int
-
-
-class _Budget(Exception):
-    pass
 
 
 def _orientation_table(S: PointSet):
@@ -145,77 +151,54 @@ def _orientation_table(S: PointSet):
 
 
 class _WindowPruner:
-    """Consecutive-run feasibility for every split of a tree at a vertex."""
+    """Consecutive-run feasibility for both sides of every tree edge.
+
+    Rooted at vertex 0, each non-root vertex w stands for the edge to its
+    parent and for the side under it: own[w] holds the hull positions of the
+    placed vertices of w's subtree, witness[w] the start of the last window
+    that fitted it. The other side of the edge fits the complementary window
+    exactly when this one fits, so one check per edge covers both sides."""
 
     def __init__(self, G: Digraph, S: PointSet):
-        n = G.n
-        hull = geo.convex_hull(S)
+        n = self.n = G.n
         self.pos = [0] * n
-        for where, p in enumerate(hull):
+        for where, p in enumerate(geo.convex_hull(S)):
             self.pos[p] = where
-        self.n = n
-        # window_mask[size][start]: size consecutive hull positions from start
-        full = (1 << n) - 1
-        self.wmask = [[0] * n for _ in range(n + 1)]
-        for size in range(1, n + 1):
-            base = (1 << size) - 1
-            for start in range(n):
-                m = (base << start) & full | (base >> (n - start))
-                self.wmask[size][start] = m
-        self.group: list[dict[int, int]] = [dict() for _ in range(n)]
-        self.sizes: list[list[int]] = [[] for _ in range(n)]
-        for u in range(n):
-            parts = dg.decompose_at(G, u).subtrees
-            self.sizes[u] = [len(t.vertices) for t in parts]
-            for i, t in enumerate(parts):
-                for v in t.vertices:
-                    self.group[u][v] = i
-        self.own = [[0] * len(self.sizes[u]) for u in range(n)]
+        # the window of k hull positions from s is base = 2^k - 1 rotated left
+        # by s; placed points have no bit at n or above, so the rotation needs
+        # no mask. A side fits it iff the placed points inside are its own
+        tree = dg._Tree(G, 0)
+        self.parent = tree.parent
+        self.edges = [(w, (1 << tree.size[w]) - 1) for w in tree.order[1:]]
+        self.own = [0] * n
+        self.witness = [0] * n
         self.placed_all = 0
-        self.witness = [[0] * len(self.sizes[u]) for u in range(n)]
 
-    def _ok(self, u: int, i: int) -> bool:
-        own = self.own[u][i]
-        others = self.placed_all & ~own
-        size = self.sizes[u][i]
-        wm = self.wmask[size]
-        w = wm[self.witness[u][i]]
-        if own & ~w == 0 and others & w == 0:
-            return True
-        for start in range(self.n):
-            w = wm[start]
-            if own & ~w == 0 and others & w == 0:
-                self.witness[u][i] = start
-                return True
-        return False
+    def _flip(self, v: int, p: int) -> None:
+        # v at point p enters or leaves its own side and every side above it
+        bit = 1 << self.pos[p]
+        self.placed_all ^= bit
+        while v >= 0:
+            self.own[v] ^= bit
+            v = self.parent[v]
 
     def place(self, v: int, p: int) -> bool:
-        """Record v at point p; report whether every split stays feasible."""
-        bit = 1 << self.pos[p]
-        self.placed_all |= bit
-        for u in range(self.n):
-            if u == v:
+        """Record v at point p; report whether every edge's side still fits."""
+        self._flip(v, p)
+        placed, own, witness, n = self.placed_all, self.own, self.witness, self.n
+        for w, base in self.edges:
+            mine, s = own[w], witness[w]
+            if placed & (base << s | base >> (n - s)) == mine:
                 continue
-            self.own[u][self.group[u][v]] |= bit
-        ok = True
-        for u in range(self.n):
-            if u == v:
-                for i in range(len(self.sizes[u])):
-                    if not self._ok(u, i):
-                        ok = False
-                        break
-            elif not self._ok(u, self.group[u][v]):
-                ok = False
-            if not ok:
-                break
-        return ok
+            for s in range(n):
+                if placed & (base << s | base >> (n - s)) == mine:
+                    witness[w] = s
+                    break
+            else:
+                return False
+        return True
 
-    def unplace(self, v: int, p: int) -> None:
-        bit = 1 << self.pos[p]
-        self.placed_all &= ~bit
-        for u in range(self.n):
-            if u != v:
-                self.own[u][self.group[u][v]] &= ~bit
+    unplace = _flip
 
 
 def decide_upse(G: Digraph, S: PointSet,
@@ -243,57 +226,63 @@ def decide_upse(G: Digraph, S: PointSet,
 
     # static fail-first candidate order: many satisfied in-arcs first
     by_pressure = sorted(range(n), key=lambda v: (-len(G.in_neighbors[v]), v))
+    in_nb, out_nb = G.in_neighbors, G.out_neighbors
 
     point_of = [-1] * n
-    remaining_in = [len(G.in_neighbors[v]) for v in range(n)]
+    remaining_in = [len(in_nb[v]) for v in range(n)]
     segs: list[tuple[int, int]] = []
     nodes = 0
     budget = opts.node_budget
 
-    def crosses_existing(a: int, b: int) -> bool:
-        for c, d in segs:
-            if a == c or a == d or b == c or b == d:
-                continue
-            if orient(a, b, c) != orient(a, b, d) and \
-                    orient(c, d, a) != orient(c, d, b):
-                return True
+    def crosses_existing(v: int, b: int) -> bool:
+        # whether an arc into v at point b would cross an arc already drawn
+        for u in in_nb[v]:
+            a = point_of[u]
+            for c, d in segs:
+                if a == c or a == d or b == c or b == d:
+                    continue
+                if orient(a, b, c) != orient(a, b, d) and \
+                        orient(c, d, a) != orient(c, d, b):
+                    return True
         return False
 
-    def dfs(k: int) -> bool:
-        nonlocal nodes
-        if k == n:
-            return True
-        q = order[k]
-        for v in by_pressure:
+    def unplace(v: int) -> None:
+        if pruner is not None:
+            pruner.unplace(v, point_of[v])
+        del segs[len(segs) - len(in_nb[v]):]
+        for w in out_nb[v]:
+            remaining_in[w] += 1
+        point_of[v] = -1
+
+    # the vertices placed on the lowest points so far, and for each depth the
+    # candidates still to try on that depth's point: an explicit stack
+    placed: list[int] = []
+    candidates = [iter(by_pressure)]
+    while candidates and len(placed) < n:
+        q = order[len(placed)]
+        for v in candidates[-1]:
             if point_of[v] >= 0 or remaining_in[v]:
                 continue
             nodes += 1
             if budget is not None and nodes > budget:
-                raise _Budget
-            new = [(point_of[u], q) for u in G.in_neighbors[v]]
-            if any(crosses_existing(a, b) for a, b in new):
+                return DecideResult("budget_exhausted", None, nodes)
+            if crosses_existing(v, q):
                 continue
+            segs.extend([(point_of[u], q) for u in in_nb[v]])
             point_of[v] = q
-            for w in G.out_neighbors[v]:
+            for w in out_nb[v]:
                 remaining_in[w] -= 1
-            segs.extend(new)
-            feasible = pruner.place(v, q) if pruner is not None else True
-            if feasible and dfs(k + 1):
-                return True
-            if pruner is not None:
-                pruner.unplace(v, q)
-            del segs[len(segs) - len(new):]
-            for w in G.out_neighbors[v]:
-                remaining_in[w] += 1
-            point_of[v] = -1
-        return False
+            if pruner is None or pruner.place(v, q):
+                placed.append(v)
+                candidates.append(iter(by_pressure))
+                break
+            unplace(v)
+        else:  # every candidate failed: backtrack one point
+            candidates.pop()
+            if placed:
+                unplace(placed.pop())
 
-    try:
-        found = dfs(0)
-    except _Budget:
-        return DecideResult("budget_exhausted", None, nodes)
-
-    if not found:
+    if len(placed) < n:
         return DecideResult("not_embeddable", None, nodes)
     m = Mapping(tuple(point_of))
     bad = verify_upse(G, S, m)

@@ -229,21 +229,6 @@ def gadget_base_points(B: int, m: int):
     return groups, b, t
 
 
-def _has_degenerate_triple(new_pts: list[Point], placed: list[Point]) -> bool:
-    # a collinear triple using at least one new point, or a repeated y
-    placed_ys = {p.y for p in placed}
-    if any(p.y in placed_ys for p in new_pts):
-        return True
-    pool = [geo._hom(p) for p in placed + new_pts]
-    base = len(placed)
-    for k in range(base, len(pool)):
-        for i in range(k):
-            for j in range(i + 1, k):
-                if geo._orient(pool[i], pool[j], pool[k]) == 0:
-                    return True
-    return False
-
-
 def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
     """Build the reduction gadget for a 3-Partition instance.
 
@@ -298,7 +283,9 @@ def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
             cand = [Point(p.x, p.y - v) for p in grp]
             if ceiling is not None and max(p.y for p in cand) >= ceiling:
                 raise PropertyCheckFailed("group slide collapsed the band gap")
-            if not _has_degenerate_triple(cand, placed):
+            # placed is in general position and the groups' x ranges are
+            # disjoint: only a triple or a y through cand can fail the test
+            if geo.is_general_position(PointSet(placed + cand)):
                 break
             v += 1
         shifted.append(cand)

@@ -3,7 +3,9 @@
 The structural predicates used by the embedding algorithms live here:
 switch trees (every vertex a source or a sink), longest directed paths,
 path digraphs, and the subtree decomposition obtained by removing a vertex
-from a tree.
+from a tree. One rooted pass over a tree (parents, BFS order, children,
+subtree sizes) serves that decomposition, the embedder and the window pruner
+of the decision solver.
 """
 
 from __future__ import annotations
@@ -167,6 +169,26 @@ def is_monotone_path(G: Digraph) -> bool:
     return forward or backward
 
 
+class _Tree:
+    """A tree rooted at r, found in one iterative pass: each vertex's parent
+    (-1 at r), the vertices in BFS order from r, the children in arc order and
+    the subtree sizes."""
+
+    def __init__(self, G: Digraph, r: int):
+        self.parent = parent = [-1] * G.n
+        self.children: list[list[int]] = [[] for _ in range(G.n)]
+        self.size = [1] * G.n
+        self.order = order = [r]
+        for v in order:  # BFS: every vertex comes after its parent
+            for w in G.adjacency[v]:
+                if w != parent[v]:
+                    parent[w] = v
+                    self.children[v].append(w)
+                    order.append(w)
+        for v in reversed(order[1:]):
+            self.size[parent[v]] += self.size[v]
+
+
 @dataclass(frozen=True)
 class Subtree:
     """One component left after removing a vertex from a tree."""
@@ -182,31 +204,17 @@ class TreeDecomposition:
 
 
 def decompose_at(G: Digraph, u: int) -> TreeDecomposition:
-    """Subtrees hanging off vertex u of a tree, in the order u's arcs appear."""
+    """Subtrees hanging off vertex u of a tree, in the order u's arcs appear:
+    the children of u in the tree rooted at u, each with its descendants."""
     if not underlying_is_tree(G):
         raise NotATree("underlying graph is not a tree")
-    n = G.n
-    comp = [-1] * n
-    comp[u] = -2
-    parts: list[set[int]] = []
-    for v in range(n):
-        if comp[v] != -1:
-            continue
-        bag = {v}
-        comp[v] = len(parts)
-        queue = deque([v])
-        while queue:
-            a = queue.popleft()
-            for b in G.adjacency[a]:
-                if comp[b] == -1:
-                    comp[b] = len(parts)
-                    bag.add(b)
-                    queue.append(b)
-        parts.append(bag)
-    subtrees = []
-    for t, h in G.arcs:
-        if t == u:
-            subtrees.append(Subtree(frozenset(parts[comp[h]]), h, False))
-        elif h == u:
-            subtrees.append(Subtree(frozenset(parts[comp[t]]), t, True))
-    return TreeDecomposition(u, tuple(subtrees))
+    tree = _Tree(G, u)
+    bags: dict[int, list[int]] = {c: [] for c in tree.children[u]}
+    top = [-1] * G.n  # the child of u above each vertex
+    for v in tree.order[1:]:  # BFS: every vertex comes after its parent
+        p = tree.parent[v]
+        top[v] = v if p == u else top[p]
+        bags[top[v]].append(v)
+    into = set(G.in_neighbors[u])
+    return TreeDecomposition(u, tuple(Subtree(frozenset(bags[c]), c, c in into)
+                                      for c in tree.children[u]))

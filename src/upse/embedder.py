@@ -65,27 +65,8 @@ class Mapping:
         return cls(tuple(int(d[lab]) for lab in G.vertices))
 
 
-class _Tree:
-    """A tree rooted at r: arc-ordered children and subtree sizes, found in one
-    iterative pass."""
-
-    def __init__(self, G: Digraph, r: int):
-        self.children: list[list[int]] = [[] for _ in range(G.n)]
-        self.size = [1] * G.n
-        parent = [-1] * G.n
-        order = [r]
-        for v in order:  # BFS: every vertex comes after its parent
-            for w in G.adjacency[v]:
-                if w != parent[v]:
-                    parent[w] = v
-                    self.children[v].append(w)
-                    order.append(w)
-        for v in reversed(order[1:]):
-            self.size[parent[v]] += self.size[v]
-
-
-def _embed_one_sided_block(tree: _Tree, v: int, block: list[int], first: int,
-                           step: int, assign: list[int]) -> None:
+def _embed_one_sided_block(tree: dg._Tree, v: int, block: list[int],
+                           first: int, step: int, assign: list[int]) -> None:
     # the window block[first], block[first + step], ... lists tree.size[v] points
     # in y order from v's end (top first for a sink); no window is copied
     stack = [(v, first, step)]
@@ -104,7 +85,7 @@ class _ConvexEmbedder:
     steps of step = +-1. Every residual is a sub-window of its block, so the
     positions stay in [0, n) and no list is ever copied."""
 
-    def __init__(self, tree: _Tree, cycle: tuple[int, ...], rank: list[int],
+    def __init__(self, tree: dg._Tree, cycle: tuple[int, ...], rank: list[int],
                  bottom: int, assign: list[int]):
         self.tree = tree
         self.cycle = cycle    # the hull counterclockwise from the top point
@@ -215,7 +196,7 @@ def _embed_one_sided(T: Digraph, r: int, S: PointSet, sink: bool) -> Mapping:
         raise NotOneSided("point set is two-sided")
     block = sorted(range(len(S)), key=lambda i: S[i].y, reverse=sink)
     assign = [-1] * T.n
-    _embed_one_sided_block(_Tree(T, r), r, block, 0, 1, assign)
+    _embed_one_sided_block(dg._Tree(T, r), r, block, 0, 1, assign)
     return Mapping(tuple(assign))
 
 
@@ -244,7 +225,7 @@ def embed_convex_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
     rank = [0] * n
     for y, k in enumerate(by_y):
         rank[(k - top) % n] = y
-    embedder = _ConvexEmbedder(_Tree(T, r), cycle, rank, (by_y[0] - top) % n, assign)
+    embedder = _ConvexEmbedder(dg._Tree(T, r), cycle, rank, (by_y[0] - top) % n, assign)
     step = (r, True, 0, n, 1)
     while step is not None:  # each block returns its residual's step, or None
         step = embedder.block(*step)

@@ -251,22 +251,11 @@ def classify_sides(S: PointSet) -> SideSplit:
         raise NotConvex("point set is not in convex position")
     if not is_general_position(S):
         raise NotGeneralPosition("point set is not in general position")
-    pts = S.points
-    bottom = min(range(len(pts)), key=lambda i: pts[i].y)
-    top = max(range(len(pts)), key=lambda i: pts[i].y)
-    left: list[int] = []
-    right: list[int] = []
-    for i in range(len(pts)):
-        if i in (bottom, top):
-            continue
-        if point_right_of_line(pts[i], pts[bottom], pts[top]):
-            right.append(i)
-        else:
-            # general position rules out a third point on the line
-            left.append(i)
-    left.sort(key=lambda i: pts[i].y)
-    right.sort(key=lambda i: pts[i].y)
-    return SideSplit(tuple(left), tuple(right), bottom, top)
+    # the hull runs counterclockwise from the lowest point: up the right side
+    # to the highest point, then down the left side
+    hull = convex_hull(S)
+    t = max(range(len(hull)), key=lambda k: S[hull[k]].y)
+    return SideSplit(hull[:t:-1], hull[1:t], hull[0], hull[t])
 
 
 def is_one_sided(S: PointSet) -> Sidedness:

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import networkx as nx
 
-from upse import Digraph, Mapping, Point, PointSet, convex_hull, verify_upse
+from upse import (Digraph, Mapping, Point, PointSet, SideSplit, convex_hull,
+                  point_right_of_line, verify_upse)
 
 
 def circle_point(s: Fraction, left: bool = False) -> Point:
@@ -234,6 +235,24 @@ def slope_general_position(points: list[Point]) -> bool:
                 return False
             slopes.add(key)
     return True
+
+
+def side_test_split(S: PointSet) -> SideSplit:
+    """classify_sides of a convex general-position set by one side-of-line test
+    per point and a sort by y: the split classify_sides made before it read
+    the sides off the hull."""
+    pts = S.points
+    bottom = min(range(len(pts)), key=lambda i: pts[i].y)
+    top = max(range(len(pts)), key=lambda i: pts[i].y)
+    left: list[int] = []
+    right: list[int] = []
+    for i in range(len(pts)):
+        if i not in (bottom, top):
+            side = right if point_right_of_line(pts[i], pts[bottom], pts[top]) else left
+            side.append(i)
+    left.sort(key=lambda i: pts[i].y)
+    right.sort(key=lambda i: pts[i].y)
+    return SideSplit(tuple(left), tuple(right), bottom, top)
 
 
 def zigzag_path(n: int) -> Digraph:

@@ -1,9 +1,12 @@
+import inspect
 import random
+import sys
 
 import pytest
 
 from upse import (Digraph, Mapping, NotGeneralPosition, PointSet,
-                  SizeMismatch, SolverOptions, ViolationKind, decide_upse, pt,
+                  SizeMismatch, SolverOptions, ViolationKind, decide_upse,
+                  gen_binucci_pointset, gen_binucci_tree, gen_kswitch_tree, pt,
                   verify_upse)
 
 from helpers import (brute_force_embeddable, random_convex, random_dag,
@@ -151,6 +154,38 @@ class TestDecide:
         assert res.nodes_explored >= 1
         full = decide_upse(G, S)
         assert full.result == "embeddable"
+
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(ValueError):
+            SolverOptions(node_budget=-1)
+        assert SolverOptions(node_budget=0).node_budget == 0
+
+    def test_node_counts_are_pinned(self):
+        # exact search sizes: a pruning or ordering change that moves them
+        # must say why
+        counter = [decide_upse(gen_binucci_tree(n), gen_binucci_pointset(n))
+                   for n in (5, 7, 9)]
+        assert [r.result for r in counter] == ["not_embeddable"] * 3
+        assert [r.nodes_explored for r in counter] == [346, 576, 854]
+        unpruned = decide_upse(gen_binucci_tree(5), gen_binucci_pointset(5),
+                               SolverOptions(use_consecutive_pruning=False))
+        assert (unpruned.result, unpruned.nodes_explored) == ("not_embeddable", 31292)
+        S = gen_binucci_pointset(7)
+        kswitch = [decide_upse(gen_kswitch_tree(7, k), S).nodes_explored
+                   for k in range(2, 7)]
+        assert kswitch == [5305, 3282, 2822, 2044, 576]
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        n = 300
+        G = Digraph([f"x{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+        S = random_convex(random.Random(8), n)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            res = decide_upse(G, S, SolverOptions(use_consecutive_pruning=False))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.result, res.nodes_explored) == ("embeddable", n)
 
     def test_nodes_explored_counts_work(self):
         G = Digraph(["a", "b"], [(0, 1)])

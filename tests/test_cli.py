@@ -124,6 +124,19 @@ class TestDecide:
         assert main(["decide", "--graph", g, "--points", s]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "FormatError"
 
+    def test_negative_budget_flag_is_an_input_error(self, tmp_path, capsys):
+        g, s = path_files(tmp_path)
+        assert main(["decide", "--graph", g, "--points", s, "--budget", "-5"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "non-negative" in json.loads(out.err)["error"]["message"]
+
+    def test_negative_env_budget_is_an_input_error(self, tmp_path, capsys, monkeypatch):
+        g, s = path_files(tmp_path)
+        monkeypatch.setenv("UPSE_NODE_BUDGET", "-3")
+        assert main(["decide", "--graph", g, "--points", s]) == 2
+        assert "non-negative" in json.loads(capsys.readouterr().err)["error"]["message"]
+
     def test_no_prune_gives_the_same_answer(self, tmp_path, capsys):
         g, s = path_files(tmp_path)
         assert main(["decide", "--graph", g, "--points", s, "--no-prune"]) == 0

@@ -181,6 +181,15 @@ class TestGadgetStructure:
         assert {G.vertices[v] for v in sinks} == expected_sinks
         assert underlying_is_tree(G) is False  # the m two-arc paths share s and t
 
+    def test_group_slides_are_pinned(self):
+        # how far gen_gadget slides each group C_1..C_m below the raw layout
+        for B, A, slides in ((10, (3, 3, 4) * 4, (5, 1, 0, 0)),
+                             (7, (2, 2, 3) * 3, (2, 0, 0))):
+            g = gen_gadget(PartitionInstance(B, A))
+            base, _, _ = gadget_base_points(B, len(A) // 3)
+            for raw, grp, v in zip(base, g.groups, slides):
+                assert [g.points[i] for i in grp] == [pt(p.x, p.y - v) for p in raw]
+
     def test_extremes_and_group_bands(self):
         g = gen_gadget(PartitionInstance(12, (4,) * 6))
         S = g.points

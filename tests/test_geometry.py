@@ -13,7 +13,7 @@ from upse import (NotConvex, NotGeneralPosition, Orientation, Point, PointSet,
 
 from helpers import (circle_point, frac_cross, frac_segments_cross,
                      frac_side_of_line, jarvis_hull, naive_depth, random_convex,
-                     random_general, slope_general_position)
+                     random_general, side_test_split, slope_general_position)
 
 
 def square(side=2):
@@ -162,6 +162,20 @@ class TestSides:
 
     def test_two_points_count_as_left_heavy(self):
         assert is_one_sided(PointSet([pt(0, 0), pt(1, 1)])) is Sidedness.LEFT_HEAVY
+
+    def test_hull_split_matches_side_tests(self):
+        rng = random.Random(21)
+        for two in (PointSet([pt(0, 0), pt(1, 1)]), PointSet([pt(3, 2), pt(-1, -4)])):
+            assert classify_sides(two) == side_test_split(two)
+        for sidedness in ("left", "right", "mixed"):
+            for n in range(3, 14):
+                S = random_convex(rng, n, sidedness)
+                split = classify_sides(S)
+                assert split == side_test_split(S)
+                if sidedness == "left":
+                    assert split.right == ()
+                if sidedness == "right":
+                    assert split.left == ()
 
     def test_point_side_predicates(self):
         a, b = pt(0, 0), pt(0, 10)
