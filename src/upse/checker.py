@@ -4,7 +4,18 @@ verify_upse checks a complete vertex-to-point assignment against the three
 defining conditions: injectivity, every arc strictly rising in y, and no two
 arc segments intersecting except at a shared endpoint. It also reports a
 vertex point lying in the interior of some other arc's segment, which can
-only happen off general position. All arithmetic is exact.
+only happen off general position. All arithmetic is exact, on geometry's
+homogeneous integers.
+
+Crossings come from one Bentley-Ottmann sweep upward through the points:
+O((n + m + k) log(n + m)) predicate tests for n vertices, m arcs and k
+crossings (the status is a Python list, so each insertion also shifts up to m
+references). A drawing the sweep does not handle (two vertices on one point,
+a horizontal arc, a vertex inside an arc, arcs that touch or overlap, three
+arcs through one crossing) is never valid; for those verify_upse tests every
+pair of arcs and every vertex against every arc, in O(m^2 + n m), and reports
+the same list either way: crossing pairs in (i, j) order, then (vertex, arc)
+pairs.
 
 decide_upse is an exhaustive backtracking search. Points are consumed bottom
 to top; a vertex may take the next point only once all its in-neighbors are
@@ -26,8 +37,12 @@ is abandoned.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from functools import cmp_to_key
+from heapq import heappop, heappush
 
 from . import digraph as dg
 from . import geometry as geo
@@ -78,8 +93,128 @@ def verify_upse(G: Digraph, S: PointSet, m: Mapping) -> list[Violation]:
                 ViolationKind.ARC_NOT_UPWARD, (a,),
                 f"arc {G.vertices[t]!r}->{G.vertices[h]!r} does not rise"))
 
-    H = geo._homogeneous(S)
     segs = [(m[t], m[h]) for t, h in G.arcs]
+    try:
+        crossings, on_arc = _sweep_crossings(S, m.assignment, segs), []
+    except _Degenerate:
+        crossings, on_arc = _pairwise(S, m.assignment, segs)
+    for i, j in crossings:
+        ti, hi = G.arcs[i]
+        tj, hj = G.arcs[j]
+        out.append(Violation(
+            ViolationKind.ARCS_CROSS, (i, j),
+            f"arcs {G.vertices[ti]!r}->{G.vertices[hi]!r} and "
+            f"{G.vertices[tj]!r}->{G.vertices[hj]!r} cross"))
+    for v, a in on_arc:
+        t, h = G.arcs[a]
+        out.append(Violation(
+            ViolationKind.VERTEX_ON_ARC, (v, a),
+            f"vertex {G.vertices[v]!r} lies on arc "
+            f"{G.vertices[t]!r}->{G.vertices[h]!r}"))
+    return out
+
+
+class _Degenerate(Exception):
+    """The sweep met a drawing it does not handle, never a valid one;
+    verify_upse then tests every pair instead."""
+
+
+def _sweep_crossings(S: PointSet, points: tuple[int, ...],
+                     segs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Every pair i < j of crossing segments, sorted: a Bentley-Ottmann sweep
+    upward through the distinct points in (y, x) order.
+
+    The status lists the segments met by the sweep line from left to right.
+    Each point removes the segments that end there and inserts, sorted by
+    direction, those that start there; segments that become neighbours are
+    tested, and a proper crossing becomes an event at its exact homogeneous
+    point, where the two swap. Raises _Degenerate on two vertices at one
+    point, a horizontal segment, a point inside a segment, neighbours that
+    touch or overlap, or three segments through one crossing.
+    """
+    pts, H = S.points, geo._homogeneous(S)
+    starts: dict[int, list[int]] = {p: [] for p in points}
+    if len(starts) < len(points):
+        raise _Degenerate
+    lower, upper = [], []
+    for i, (p, q) in enumerate(segs):
+        (_, py, pw), (_, qy, qw) = H[p], H[q]
+        if py * qw == qy * pw:  # p and q at one height
+            raise _Degenerate
+        if py * qw > qy * pw:
+            p, q = q, p
+        lower.append(p)
+        upper.append(q)
+        starts[p].append(i)
+
+    def side(i: int, r: geo.Hom) -> int:
+        # -1 when segment i passes left of r, 0 through it, 1 right of it
+        return geo._orient(H[lower[i]], H[upper[i]], r)
+
+    def by_direction(i: int, j: int) -> int:
+        # two segments leaving one point, left to right above it
+        s = side(i, H[upper[j]])
+        if not s:
+            raise _Degenerate
+        return s
+
+    status: list[int] = []
+    events: list = []  # crossings ahead: ((y, x), left arc, right arc, point)
+    crossings: set[tuple[int, int]] = set()
+
+    def test(k: int) -> None:
+        # schedule the crossing of neighbours status[k - 1] and status[k], if any
+        if not 0 < k < len(status):
+            return
+        i, j = status[k - 1], status[k]
+        a, b, c, d = lower[i], upper[i], lower[j], upper[j]
+        if a == c or a == d or b == c or b == d:
+            if side(i, H[c]) == side(i, H[d]) == 0:
+                raise _Degenerate
+            return
+        s1, s2, s3, s4 = side(j, H[a]), side(j, H[b]), side(i, H[c]), side(i, H[d])
+        if s1 * s2 > 0 or s3 * s4 > 0:
+            return
+        if not (s1 and s2 and s3 and s4):
+            raise _Degenerate
+        pair = (i, j) if i < j else (j, i)
+        if pair not in crossings:
+            crossings.add(pair)
+            X = geo._meet(H[a], H[b], H[c], H[d])
+            heappush(events, ((Fraction(X[1], X[2]), Fraction(X[0], X[2])), i, j, X))
+
+    def cross(i: int, j: int, X: geo.Hom) -> None:
+        lo = bisect_left(status, 0, key=lambda s: side(s, X))
+        if status[lo:lo + 2] != [i, j] or \
+                lo + 2 < len(status) and not side(status[lo + 2], X):
+            raise _Degenerate
+        status[lo:lo + 2] = j, i
+        test(lo)
+        test(lo + 2)
+
+    for p in sorted(points, key=lambda p: (pts[p].y, pts[p].x)):
+        while events and events[0][0] < (pts[p].y, pts[p].x):
+            cross(*heappop(events)[1:])
+        r = H[p]
+        lo = hi = bisect_left(status, 0, key=lambda s: side(s, r))
+        while hi < len(status) and not side(status[hi], r):
+            if upper[status[hi]] != p:
+                raise _Degenerate
+            hi += 1
+        new = starts[p]
+        if len(new) > 1:
+            new.sort(key=cmp_to_key(by_direction))
+        status[lo:hi] = new
+        for k in {lo, lo + len(new)}:
+            test(k)
+    return sorted(crossings)
+
+
+def _pairwise(S: PointSet, points: tuple[int, ...], segs: list[tuple[int, int]]):
+    """The crossing pairs and the (vertex, arc) pairs of a vertex inside an
+    arc, by testing every pair: O(m^2 + n m), for drawings the sweep rejects."""
+    H = geo._homogeneous(S)
+    crossings, on_arc = [], []
     for i in range(len(segs)):
         pi, qi = segs[i]
         if pi == qi:
@@ -89,25 +224,15 @@ def verify_upse(G: Digraph, S: PointSet, m: Mapping) -> list[Violation]:
             if pj == qj:
                 continue
             if geo._segments_cross(H[pi], H[qi], H[pj], H[qj]):
-                ti, hi = G.arcs[i]
-                tj, hj = G.arcs[j]
-                out.append(Violation(
-                    ViolationKind.ARCS_CROSS, (i, j),
-                    f"arcs {G.vertices[ti]!r}->{G.vertices[hi]!r} and "
-                    f"{G.vertices[tj]!r}->{G.vertices[hj]!r} cross"))
-
-    for v, p in enumerate(m.assignment):
+                crossings.append((i, j))
+    for v, p in enumerate(points):
         for a, (pi, qi) in enumerate(segs):
             if p == pi or p == qi or pi == qi:
                 continue
             if geo._orient(H[pi], H[qi], H[p]) == 0 \
                     and geo._on_segment(H[pi], H[qi], H[p]):
-                t, h = G.arcs[a]
-                out.append(Violation(
-                    ViolationKind.VERTEX_ON_ARC, (v, a),
-                    f"vertex {G.vertices[v]!r} lies on arc "
-                    f"{G.vertices[t]!r}->{G.vertices[h]!r}"))
-    return out
+                on_arc.append((v, a))
+    return crossings, on_arc
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,15 @@ def _orient(a: Hom, b: Hom, c: Hom) -> int:
     return (d > 0) - (d < 0)
 
 
+def _meet(a: Hom, b: Hom, c: Hom, d: Hom) -> Hom:
+    """The point where line ab meets line cd, which must not be parallel."""
+    def wedge(u, v):  # the line through two points, or two lines' common point
+        (ux, uy, uw), (vx, vy, vw) = u, v
+        return (uy * vw - uw * vy, uw * vx - ux * vw, ux * vy - uy * vx)
+    x, y, w = wedge(wedge(a, b), wedge(c, d))
+    return (x, y, w) if w > 0 else (-x, -y, -w)
+
+
 def _on_segment(a: Hom, b: Hom, p: Hom) -> bool:
     # for collinear a != b and p: (a - p).(b - p) <= 0, times W_a W_b W_p^2 > 0
     (ax, ay, aw), (bx, by, bw), (px, py, pw) = a, b, p

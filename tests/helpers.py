@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import networkx as nx
 
-from upse import (Digraph, Mapping, Point, PointSet, SideSplit, convex_hull,
-                  point_right_of_line, verify_upse)
+from upse import (Digraph, Mapping, Point, PointSet, SideSplit, Violation,
+                  ViolationKind, convex_hull, point_right_of_line, verify_upse)
 
 
 def circle_point(s: Fraction, left: bool = False) -> Point:
@@ -222,6 +222,46 @@ def frac_segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     return not (p in (a, b) and p in (c, d))
 
 
+def pairwise_violations(G: Digraph, S: PointSet, m: Mapping) -> list[Violation]:
+    """verify_upse by testing every pair of arcs and every vertex against every
+    arc in Fraction arithmetic: the O(m^2 + n*m) loops verify_upse ran before
+    its sweep, kept as the oracle for its whole violation list and its order."""
+    name, a = G.vertices, m.assignment
+    out: list[Violation] = []
+    seen: dict[int, int] = {}
+    for v, p in enumerate(a):
+        if p in seen:
+            out.append(Violation(ViolationKind.NOT_INJECTIVE, (seen[p], v),
+                                 f"vertices {name[seen[p]]!r} and {name[v]!r} "
+                                 f"share point {p}"))
+        else:
+            seen[p] = v
+    for k, (t, h) in enumerate(G.arcs):
+        if not S[a[h]].y > S[a[t]].y:
+            out.append(Violation(ViolationKind.ARC_NOT_UPWARD, (k,),
+                                 f"arc {name[t]!r}->{name[h]!r} does not rise"))
+    segs = [(a[t], a[h]) for t, h in G.arcs]
+    for i, j in itertools.combinations(range(len(segs)), 2):
+        (p, q), (r, s) = segs[i], segs[j]
+        if p != q and r != s and frac_segments_cross(S[p], S[q], S[r], S[s]):
+            (ti, hi), (tj, hj) = G.arcs[i], G.arcs[j]
+            out.append(Violation(ViolationKind.ARCS_CROSS, (i, j),
+                                 f"arcs {name[ti]!r}->{name[hi]!r} and "
+                                 f"{name[tj]!r}->{name[hj]!r} cross"))
+    for v, p in enumerate(a):
+        for k, (s, t) in enumerate(segs):
+            if p in (s, t) or s == t:
+                continue
+            o, q, r = S[s], S[t], S[p]
+            if frac_cross(o, q, r) == 0 and min(o.x, q.x) <= r.x <= max(o.x, q.x) \
+                    and min(o.y, q.y) <= r.y <= max(o.y, q.y):
+                tk, hk = G.arcs[k]
+                out.append(Violation(ViolationKind.VERTEX_ON_ARC, (v, k),
+                                     f"vertex {name[v]!r} lies on arc "
+                                     f"{name[tk]!r}->{name[hk]!r}"))
+    return out
+
+
 def slope_general_position(points: list[Point]) -> bool:
     """Distinct y and no repeated Fraction slope around any point: the test
     geometry.is_general_position used before the integer kernel."""
@@ -265,8 +305,8 @@ def convex_chords_ok(G: Digraph, S: PointSet, m: Mapping) -> bool:
     """Whether m draws G on the convex general-position set S: injective, every
     arc rises, and no two arcs with four distinct endpoints interleave on the
     hull cycle, which on convex points is exactly a crossing. Arcs that share
-    an endpoint cannot overlap without three collinear points. Integer work
-    only, so it checks drawings too large for verify_upse."""
+    an endpoint cannot overlap without three collinear points. It shares no
+    code with verify_upse's sweep, so the two check each other."""
     a = m.assignment
     if len(a) != G.n or len(set(a)) != G.n:
         return False

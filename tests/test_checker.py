@@ -1,16 +1,22 @@
 import inspect
 import random
 import sys
+import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from upse import (Digraph, Mapping, NotGeneralPosition, PointSet,
-                  SizeMismatch, SolverOptions, ViolationKind, decide_upse,
+from upse import (Digraph, Mapping, NotGeneralPosition, Point, PointSet,
+                  SizeMismatch, SolverOptions, Violation, ViolationKind,
+                  checker, decide_upse, embed_switch_tree,
                   gen_binucci_pointset, gen_binucci_tree, gen_kswitch_tree, pt,
                   verify_upse)
 
-from helpers import (brute_force_embeddable, random_convex, random_dag,
-                     random_general, random_switch_tree, random_tree_dag)
+from helpers import (brute_force_embeddable, circle_point, pairwise_violations,
+                     random_convex, random_dag, random_general,
+                     random_switch_tree, random_tree_dag)
 
 
 def kinds(G, S, m):
@@ -59,6 +65,21 @@ class TestVerify:
         assert ViolationKind.ARC_NOT_UPWARD in got
         assert ViolationKind.ARCS_CROSS in got
 
+    def test_violation_list_is_pinned(self):
+        # e sits on arc c->d, so arc e->f meets it there and the drawing
+        # leaves general position; g->b falls
+        G = Digraph(list("abcdefg"), [(0, 1), (2, 3), (4, 5), (6, 1)])
+        S = PointSet([pt(0, 0), pt(4, 4), pt(4, 0), pt(0, 4), pt(3, 1),
+                      pt(1, 5), pt(2, 6)])
+        K = ViolationKind
+        assert verify_upse(G, S, Mapping(tuple(range(7)))) == [
+            Violation(K.ARC_NOT_UPWARD, (3,), "arc 'g'->'b' does not rise"),
+            Violation(K.ARCS_CROSS, (0, 1), "arcs 'a'->'b' and 'c'->'d' cross"),
+            Violation(K.ARCS_CROSS, (0, 2), "arcs 'a'->'b' and 'e'->'f' cross"),
+            Violation(K.ARCS_CROSS, (1, 2), "arcs 'c'->'d' and 'e'->'f' cross"),
+            Violation(K.VERTEX_ON_ARC, (4, 1), "vertex 'e' lies on arc 'c'->'d'"),
+        ]
+
     def test_size_mismatch(self):
         G = Digraph(["a", "b"], [(0, 1)])
         S = PointSet([pt(0, 0), pt(1, 1)])
@@ -72,6 +93,146 @@ class TestVerify:
         assert ViolationKind.ARC_NOT_UPWARD.value == "arc_not_upward"
         assert ViolationKind.ARCS_CROSS.value == "arcs_cross"
         assert ViolationKind.VERTEX_ON_ARC.value == "vertex_on_arc"
+
+
+between = st.fractions(min_value=0, max_value=1, max_denominator=9)
+circle_points = st.builds(
+    circle_point, st.fractions(min_value=Fraction(-2999, 3000),
+                               max_value=Fraction(2999, 3000), max_denominator=3000),
+    st.booleans())
+huge = st.integers(-10 ** 40, 10 ** 40).map(Fraction)
+families = {"circle": circle_points,
+            "huge": st.builds(Point, huge, huge),
+            "grid": st.builds(pt, st.integers(-3, 3), st.integers(-3, 3))}
+
+
+def _along(a: Point, b: Point, t: Fraction) -> Point:
+    return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
+@st.composite
+def drawings(draw):
+    """A drawing on points of one family, with forced degenerate shapes added:
+    an endpoint inside an arc, collinear overlapping arcs, an isolated vertex
+    on an arc, an arc between equal heights, three arcs through one point.
+    Then random tree or DAG arcs, and an identity, shuffled or non-injective
+    mapping."""
+    pts = draw(st.lists(families[draw(st.sampled_from(sorted(families)))],
+                        min_size=3, max_size=12, unique=True))
+    index = {p: k for k, p in enumerate(pts)}
+    arcs = set()
+
+    def at(p: Point) -> int:
+        if p not in index:
+            index[p] = len(pts)
+            pts.append(p)
+        return index[p]
+
+    def arc(p: Point, q: Point) -> None:
+        i, j = at(p), at(q)
+        if i != j:
+            arcs.add((i, j) if draw(st.booleans()) else (j, i))
+
+    pick = st.integers(0, len(pts) - 1)
+    for shape in draw(st.lists(st.sampled_from(
+            ("inside", "overlap", "isolated", "equal_y", "concurrent")), max_size=4)):
+        a, b = pts[draw(pick)], pts[draw(pick)]
+        if a == b:
+            continue
+        c = _along(a, b, draw(between))
+        if shape == "inside":
+            arc(a, b)
+            arc(c, pts[draw(pick)])
+        elif shape == "overlap":
+            arc(a, b)
+            arc(c, _along(a, b, 1 + draw(between)))
+        elif shape == "isolated":
+            arc(a, b)
+            at(c)
+        elif shape == "equal_y":
+            arc(a, Point(b.x, a.y))
+        else:  # three arcs through c
+            for _ in range(3):
+                dx, dy = draw(st.integers(-3, 3)), draw(st.integers(1, 3))
+                s, t = 1 + draw(between), 1 + draw(between)
+                arc(Point(c.x - s * dx, c.y - s * dy), Point(c.x + t * dx, c.y + t * dy))
+    n = len(pts)
+    if draw(st.booleans()):
+        for v in range(1, n):
+            arc(pts[v], pts[draw(st.integers(0, v - 1))])
+    else:
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  min_size=n, max_size=2 * n)):
+            arc(pts[i], pts[j])
+    G = Digraph([f"x{i}" for i in range(n)], sorted(arcs))
+    how = draw(st.sampled_from(("identity", "identity", "shuffle", "collapse")))
+    if how == "identity":
+        a = list(range(n))
+    elif how == "shuffle":
+        a = draw(st.permutations(range(n)))
+    else:
+        a = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    return G, PointSet(pts), Mapping(tuple(a))
+
+
+@st.composite
+def swapped_embeddings(draw):
+    """An embedder drawing of a random switch tree on a rational-circle set,
+    with one to three pairs of vertices swapped."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(4, 40))
+    T = random_switch_tree(rng, n)
+    S = random_convex(rng, n, rng.choice(("left", "right", "mixed")))
+    a = list(embed_switch_tree(T, S).assignment)
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = rng.sample(range(n), 2)
+        a[i], a[j] = a[j], a[i]
+    return T, S, Mapping(tuple(a))
+
+
+class TestSweepAgainstPairwiseOracle:
+    """verify_upse sweeps; the oracle tests every pair. The whole violation
+    list must agree: kinds, subjects, detail strings and order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(drawings(), swapped_embeddings()))
+    def test_violation_lists_agree(self, drawing):
+        assert verify_upse(*drawing) == pairwise_violations(*drawing)
+
+    def test_three_arcs_through_one_crossing(self):
+        G = Digraph(list("abcdef"), [(0, 1), (2, 3), (4, 5)])
+        S = PointSet([pt(-2, -2), pt(2, 2), pt(2, -1), pt(-2, 1), pt(0, -3),
+                      pt(0, 3)])
+        m = Mapping(tuple(range(6)))
+        assert [v.subjects for v in verify_upse(G, S, m)] == [(0, 1), (0, 2), (1, 2)]
+        assert verify_upse(G, S, m) == pairwise_violations(G, S, m)
+
+    def test_general_position_drawings_never_fall_back(self, monkeypatch):
+        def pairwise(*args):
+            raise AssertionError("fell back to the pairwise loops")
+        monkeypatch.setattr(checker, "_pairwise", pairwise)
+        rng = random.Random(17)
+        for _ in range(30):
+            n = rng.randrange(2, 40)
+            T = random_switch_tree(rng, n)
+            S = random_convex(rng, n, rng.choice(("left", "right", "mixed")))
+            m = embed_switch_tree(T, S)
+            assert verify_upse(T, S, m) == []
+            a = list(m.assignment)
+            i, j = rng.sample(range(n), 2)
+            a[i], a[j] = a[j], a[i]
+            bad = Mapping(tuple(a))
+            assert verify_upse(T, S, bad) == pairwise_violations(T, S, bad)
+
+    def test_a_thousand_vertices_in_well_under_a_second(self):
+        rng = random.Random(18)
+        T = random_switch_tree(rng, 1000)
+        S = random_convex(rng, 1000)
+        m = embed_switch_tree(T, S)
+        t0 = time.perf_counter()
+        assert verify_upse(T, S, m) == []
+        assert time.perf_counter() - t0 < 1.0
 
 
 class TestDecide:

@@ -207,13 +207,17 @@ def deep_shape_edges(shape, n):
 
 
 class TestDeepTrees:
-    """Nothing in the embedder recurses per tree level, so depth is unbounded."""
+    """Nothing in the embedder recurses per tree level, so depth is unbounded.
+    Each drawing is checked twice: by verify_upse, and by convex_chords_ok,
+    which shares no code with it."""
 
     @pytest.mark.parametrize("sidedness", ["right", "mixed"])
     def test_zigzag_path_of_1100_vertices(self, sidedness):
         T = zigzag_path(1100)
         S = deep_set(sidedness)
-        assert convex_chords_ok(T, S, embed_switch_tree(T, S))
+        m = embed_switch_tree(T, S)
+        assert convex_chords_ok(T, S, m)
+        assert verify_upse(T, S, m) == []
 
     @pytest.mark.parametrize("shape", ["caterpillar", "spider", "broom", "random"])
     def test_shapes_of_1100_vertices_on_a_two_sided_set(self, shape):
@@ -221,6 +225,7 @@ class TestDeepTrees:
         S = deep_set("mixed")
         m = embed_switch_tree(T, S)
         assert convex_chords_ok(T, S, m)
+        assert verify_upse(T, S, m) == []
         anchor = min(v for v in range(T.n) if not T.out_neighbors[v])
         assert S[m[anchor]].y == max(p.y for p in S)
 
