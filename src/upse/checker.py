@@ -192,7 +192,9 @@ def _sweep_crossings(S: PointSet, points: tuple[int, ...],
         test(lo)
         test(lo + 2)
 
-    for p in sorted(points, key=lambda p: (pts[p].y, pts[p].x)):
+    for p in geo._by_y(S):
+        if p not in starts:
+            continue
         while events and events[0][0] < (pts[p].y, pts[p].x):
             cross(*heappop(events)[1:])
         r = H[p]
@@ -341,7 +343,7 @@ def decide_upse(G: Digraph, S: PointSet,
     except Cyclic:
         return DecideResult("not_embeddable", None, 0)
 
-    order = sorted(range(n), key=lambda p: S[p].y)
+    order = geo._by_y(S)
     orient = _orientation_table(S)
 
     pruner = None

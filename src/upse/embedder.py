@@ -65,7 +65,7 @@ class Mapping:
         return cls(tuple(int(d[lab]) for lab in G.vertices))
 
 
-def _embed_one_sided_block(tree: dg._Tree, v: int, block: list[int],
+def _embed_one_sided_block(tree: dg._Tree, v: int, block: tuple[int, ...],
                            first: int, step: int, assign: list[int]) -> None:
     # the window block[first], block[first + step], ... lists tree.size[v] points
     # in y order from v's end (top first for a sink); no window is copied
@@ -194,7 +194,7 @@ def _embed_one_sided(T: Digraph, r: int, S: PointSet, sink: bool) -> Mapping:
     _require_convex_general(S)
     if len(S) >= 2 and geo.is_one_sided(S) is Sidedness.TWO_SIDED:
         raise NotOneSided("point set is two-sided")
-    block = sorted(range(len(S)), key=lambda i: S[i].y, reverse=sink)
+    block = geo._by_y(S)[::-1] if sink else geo._by_y(S)
     assign = [-1] * T.n
     _embed_one_sided_block(dg._Tree(T, r), r, block, 0, 1, assign)
     return Mapping(tuple(assign))
@@ -218,14 +218,15 @@ def embed_convex_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
     _require_convex_general(S)
     assign = [-1] * T.n
     n = len(S)
-    hull = geo.convex_hull(S)
-    by_y = sorted(range(n), key=lambda k: S[hull[k]].y)  # hull positions, lowest first
-    top = by_y[-1]
+    hull, order = geo.convex_hull(S), geo._by_y(S)
+    top = hull.index(order[-1])
     cycle = hull[top:] + hull[:top]  # counterclockwise from the top point
-    rank = [0] * n
-    for y, k in enumerate(by_y):
-        rank[(k - top) % n] = y
-    embedder = _ConvexEmbedder(dg._Tree(T, r), cycle, rank, (by_y[0] - top) % n, assign)
+    y_rank = [0] * n
+    for y, i in enumerate(order):
+        y_rank[i] = y
+    rank = [y_rank[i] for i in cycle]
+    # the hull starts at the lowest point
+    embedder = _ConvexEmbedder(dg._Tree(T, r), cycle, rank, -top % n, assign)
     step = (r, True, 0, n, 1)
     while step is not None:  # each block returns its residual's step, or None
         step = embedder.block(*step)

@@ -3,16 +3,27 @@
 Points have ``fractions.Fraction`` coordinates. Every predicate is one exact
 integer sign test: a point becomes homogeneous integers (X, Y, W), x = X/W and
 y = Y/W, and an orientation is the sign of one 3x3 integer determinant. Point
-sets are ordered containers of distinct points with cached queries (hull,
-general position, homogeneous coordinates), since the embedding algorithms
-ask the same questions repeatedly.
+sets are ordered containers of distinct points with cached queries, since the
+embedding algorithms ask the same questions repeatedly:
+
+- one order of the indices by (y, x), sorted once with an exact float filter
+  (a correctly rounded float decides unless two floats tie), which every
+  caller that needs points in y order reads instead of sorting again;
+- the strict hull, Andrew's monotone chain run along that order: up the right
+  chain from the lowest point, then down the left chain;
+- general position: distinct y by adjacent pairs of the order; then, when the
+  strict hull holds every point, no three can be collinear (the middle point
+  of a collinear triple is never a strict hull vertex), so a convex set costs
+  O(n log n); any other set keeps the O(n^2) test on reduced integer
+  directions;
+- the homogeneous coordinates of every point.
 """
 
 from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Iterable, NamedTuple
 
 from .errors import NotConvex, NotGeneralPosition
@@ -126,6 +137,7 @@ class PointSet:
         if len(set(pts)) != len(pts):
             raise ValueError("points must be pairwise distinct")
         self.points: tuple[Point, ...] = pts
+        self._by_y: tuple[int, ...] | None = None
         self._hull: tuple[int, ...] | None = None
         self._general: bool | None = None
         self._hom: tuple[Hom, ...] | None = None
@@ -153,6 +165,28 @@ def _homogeneous(S: PointSet) -> tuple[Hom, ...]:
     return S._hom
 
 
+def _approx(q: Fraction) -> float:
+    # int / int is correctly rounded, hence monotone: it never reverses an
+    # order, only ties; beyond float range it is +-inf
+    try:
+        return q.numerator / q.denominator
+    except OverflowError:
+        return inf if q > 0 else -inf
+
+
+def _by_y(S: PointSet) -> tuple[int, ...]:
+    """The indices of S sorted by (y, x), lowest first.
+
+    The floats decide every comparison they can; where they tie, the exact
+    Fraction does, so the order is the one a sort by Fraction gives.
+    """
+    if S._by_y is None:
+        pts = S.points
+        keys = [(_approx(y), y, _approx(x), x) for x, y in pts]
+        S._by_y = tuple(sorted(range(len(pts)), key=keys.__getitem__))
+    return S._by_y
+
+
 def convex_hull(S: PointSet) -> tuple[int, ...]:
     """Indices of strict hull vertices in counterclockwise order from the lowest point.
 
@@ -161,10 +195,9 @@ def convex_hull(S: PointSet) -> tuple[int, ...]:
     """
     if S._hull is not None:
         return S._hull
-    pts = S.points
-    n = len(pts)
-    if n == 1:
-        S._hull = (0,)
+    order = _by_y(S)
+    if len(order) == 1:
+        S._hull = order
         return S._hull
     h = _homogeneous(S)
 
@@ -176,13 +209,8 @@ def convex_hull(S: PointSet) -> tuple[int, ...]:
             out.append(i)
         return out
 
-    order = sorted(range(n), key=lambda i: pts[i])
-    hull = chain(order)[:-1] + chain(reversed(order))[:-1]
-    low = min(range(n), key=lambda i: (pts[i].y, pts[i].x))
-    if low in hull:
-        k = hull.index(low)
-        hull = hull[k:] + hull[:k]
-    S._hull = tuple(hull)
+    # up the right chain from the lowest point, then down the left chain
+    S._hull = tuple(chain(order)[:-1] + chain(reversed(order))[:-1])
     return S._hull
 
 
@@ -190,11 +218,13 @@ def is_general_position(S: PointSet) -> bool:
     """No two points share a y-coordinate and no three points are collinear."""
     if S._general is not None:
         return S._general
-    pts = S.points
-    ys = {p.y for p in pts}
-    if len(ys) != len(pts):
-        S._general = False
-        return False
+    pts, order = S.points, _by_y(S)
+    S._general = all(pts[i].y != pts[j].y for i, j in zip(order, order[1:])) \
+        and (_convex_including_small(S) or _no_collinear_triple(S))
+    return S._general
+
+
+def _no_collinear_triple(S: PointSet) -> bool:
     # a repeated direction around a common point means a collinear triple;
     # (q - p) * W_p * W_q, reduced by its gcd, with dy > 0 since the ys differ
     h = _homogeneous(S)
@@ -206,10 +236,8 @@ def is_general_position(S: PointSet) -> bool:
             g = gcd(dx, dy) if dy > 0 else -gcd(dx, dy)
             key = (dx // g, dy // g)
             if key in directions:
-                S._general = False
                 return False
             directions.add(key)
-    S._general = True
     return True
 
 
@@ -263,7 +291,7 @@ def classify_sides(S: PointSet) -> SideSplit:
     # the hull runs counterclockwise from the lowest point: up the right side
     # to the highest point, then down the left side
     hull = convex_hull(S)
-    t = max(range(len(hull)), key=lambda k: S[hull[k]].y)
+    t = hull.index(_by_y(S)[-1])
     return SideSplit(hull[:t:-1], hull[1:t], hull[0], hull[t])
 
 

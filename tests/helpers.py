@@ -22,12 +22,15 @@ def random_convex(rng, n: int, sidedness: str = "mixed") -> PointSet:
     """n points on the rational unit circle in convex general position.
 
     sidedness: "mixed" puts interior points on random sides; "left"/"right"
-    force a one-sided set.
+    force a one-sided set. The parameters are k / d for distinct integers
+    |k| < d, with d = max(3000, n), so every set with n <= 3000 is the one
+    the fixed d = 3000 drew.
     """
-    nums = sorted(rng.sample(range(-2999, 3000), n))
+    d = max(3000, n)
+    nums = sorted(rng.sample(range(1 - d, d), n))
     pts = []
     for i, num in enumerate(nums):
-        s = Fraction(num, 3000)
+        s = Fraction(num, d)
         if i == 0 or i == n - 1 or sidedness == "right":
             left = False
         elif sidedness == "left":
@@ -166,6 +169,29 @@ def jarvis_hull(points: list[Point]) -> list[int]:
         hull.append(cand)
         cur = cand
     return hull
+
+
+def xsort_hull(points: list[Point]) -> list[int]:
+    """Strict hull by the monotone chain over an x-then-y sort, rotated to start
+    at the lowest point: the convex_hull of the package before it ran its
+    chains along the cached y order. Fraction cross products."""
+    n = len(points)
+    if n == 1:
+        return [0]
+
+    def chain(seq) -> list[int]:
+        out: list[int] = []
+        for i in seq:
+            while len(out) >= 2 and frac_cross(points[out[-2]], points[out[-1]],
+                                               points[i]) <= 0:
+                out.pop()
+            out.append(i)
+        return out
+
+    order = sorted(range(n), key=lambda i: points[i])
+    hull = chain(order)[:-1] + chain(reversed(order))[:-1]
+    k = hull.index(min(range(n), key=lambda i: (points[i].y, points[i].x)))
+    return hull[k:] + hull[:k]
 
 
 def naive_depth(S: PointSet) -> int:

@@ -7,16 +7,20 @@ answer, 2 input error (JSON diagnostics on stderr), 3 budget exhausted.
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import upse
-from upse import Digraph, Mapping, PointSet, verify_upse
+from upse import Digraph, Mapping, PointSet, embed_switch_tree, verify_upse
 from upse.cli import main
 from upse.fileio import (graph_to_obj, mapping_to_obj, points_from_obj,
                          points_to_obj, read_gadget, read_graph, read_points)
+
+from helpers import random_convex, zigzag_path
 
 
 def dump(tmp_path, name, obj):
@@ -75,6 +79,42 @@ class TestEmbed:
         assert main(["embed", "--graph", str(tmp_path / "nope.json"),
                      "--points", s]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["kind"] == "FormatError"
+
+    def test_ten_thousand_vertex_zigzag_path_in_seconds(self, tmp_path, capsys):
+        n = 10_000
+        g = dump(tmp_path, "g.json", graph_to_obj(zigzag_path(n)))
+        s = dump(tmp_path, "s.json", points_to_obj(random_convex(random.Random(3), n)))
+        start = time.perf_counter()
+        assert main(["embed", "--graph", g, "--points", s]) == 0
+        assert time.perf_counter() - start < 10
+        G = read_graph(g)
+        expected = mapping_to_obj(embed_switch_tree(G, read_points(s)), G)
+        assert json.loads(capsys.readouterr().out) == expected
+
+
+class TestCoordinatesBeyondFloatRange:
+    """A coordinate of 10^400 overflows a float; exact answers need none."""
+
+    def files(self, tmp_path):
+        g, _ = star_files(tmp_path)
+        s = dump(tmp_path, "huge.json", {"points": [[0, 0], [10 ** 400, 1],
+                                                    [5, 10 ** 400], [-1, 4]]})
+        return g, s
+
+    def test_embed(self, tmp_path, capsys):
+        g, s = self.files(tmp_path)
+        assert main(["embed", "--graph", g, "--points", s]) in (0, 1)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err + captured.out
+
+    def test_verify(self, tmp_path, capsys):
+        g, s = self.files(tmp_path)
+        for k, labels in enumerate(({"r": 0, "a": 1, "b": 2, "c": 3},
+                                    {"r": 2, "a": 1, "b": 0, "c": 3})):
+            m = dump(tmp_path, f"m{k}.json", {"mapping": labels})
+            assert main(["verify", "--graph", g, "--points", s, "--mapping", m]) in (0, 1)
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err + captured.out
 
 
 class TestDecide:

@@ -191,9 +191,9 @@ class TestSwitchTreeEmbedding:
 
 
 @functools.lru_cache(maxsize=None)
-def deep_set(sidedness):
-    # shared, so that general position of each 1 100-point set is checked once
-    return random_convex(random.Random(6), 1100, sidedness)
+def deep_set(sidedness, n=1100):
+    # shared, so that general position of each set is checked once
+    return random_convex(random.Random(6), n, sidedness)
 
 
 def deep_shape_edges(shape, n):
@@ -225,6 +225,18 @@ class TestDeepTrees:
         S = deep_set("mixed")
         m = embed_switch_tree(T, S)
         assert convex_chords_ok(T, S, m)
+        assert verify_upse(T, S, m) == []
+        anchor = min(v for v in range(T.n) if not T.out_neighbors[v])
+        assert S[m[anchor]].y == max(p.y for p in S)
+
+    @pytest.mark.parametrize("shape", ["zigzag", "caterpillar", "spider", "broom"])
+    def test_shapes_of_ten_thousand_vertices(self, shape):
+        # convex_chords_ok is quadratic, so at this size verify_upse alone checks
+        n = 10_000
+        T = zigzag_path(n) if shape == "zigzag" else \
+            orient_as_switch(deep_shape_edges(shape, n), n, 0)
+        S = deep_set("mixed", n)
+        m = embed_switch_tree(T, S)
         assert verify_upse(T, S, m) == []
         anchor = min(v for v in range(T.n) if not T.out_neighbors[v])
         assert S[m[anchor]].y == max(p.y for p in S)

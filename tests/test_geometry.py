@@ -1,8 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from upse import (NotConvex, NotGeneralPosition, Orientation, Point, PointSet,
@@ -10,10 +11,12 @@ from upse import (NotConvex, NotGeneralPosition, Orientation, Point, PointSet,
                   is_consecutive, is_convex_position, is_general_position,
                   is_one_sided, orientation, point_left_of_line,
                   point_right_of_line, pt, segments_cross)
+from upse.geometry import _by_y
 
 from helpers import (circle_point, frac_cross, frac_segments_cross,
                      frac_side_of_line, jarvis_hull, naive_depth, random_convex,
-                     random_general, side_test_split, slope_general_position)
+                     random_general, side_test_split, slope_general_position,
+                     xsort_hull)
 
 
 def square(side=2):
@@ -108,6 +111,12 @@ class TestGeneralPosition:
 
     def test_vertical_collinear_triple_fails(self):
         assert not is_general_position(PointSet([pt(0, 0), pt(0, 1), pt(0, 2)]))
+
+    def test_ten_thousand_convex_points_under_a_second(self):
+        S = random_convex(random.Random(2), 10_000, "mixed")
+        start = time.perf_counter()
+        assert is_general_position(S)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestConvexPosition:
@@ -275,12 +284,84 @@ def triples(draw):
 
 
 @st.composite
-def point_lists(draw):
+def point_lists(draw, points=points):
     pts = draw(st.lists(points, min_size=1, max_size=9))
     for _ in range(draw(st.integers(0, 3))):
         i, j = draw(st.integers(0, len(pts) - 1)), draw(st.integers(0, len(pts) - 1))
         pts.append(draw(degenerate(pts[i], pts[j])))
     return draw(st.permutations(list(dict.fromkeys(pts))))
+
+
+# Coordinates beyond float range, below float resolution (floats tie where
+# the exact values differ) and with mixed denominators, for the float filter
+# of the cached (y, x) order.
+TINY = Fraction(1, 10 ** 400)
+extreme = st.sampled_from((10 ** 400, -10 ** 400, TINY, -TINY, Fraction(1, 3),
+                           Fraction(1, 3) + Fraction(1, 10 ** 40), 10 ** 30,
+                           10 ** 30 + 1, 0, 1)).map(Fraction)
+extreme_points = st.one_of(st.builds(Point, extreme, extreme),
+                           st.builds(Point, extreme, mixed),
+                           st.builds(Point, mixed, extreme))
+
+
+@st.composite
+def convex_sets(draw):
+    """A rational-circle set, perhaps with one extra point on a hull edge or at
+    the height of another point, scaled and shifted to extreme coordinates."""
+    ks = draw(st.lists(st.integers(-999, 999), min_size=1, max_size=10, unique=True))
+    pts = [circle_point(Fraction(k, 1000), draw(st.booleans())) for k in ks]
+    defect = draw(st.sampled_from(("none", "on_edge", "equal_y")))
+    if defect == "on_edge" and len(pts) >= 2:
+        hull = jarvis_hull(pts)
+        i = draw(st.integers(0, len(hull) - 1))
+        a, b = pts[hull[i]], pts[hull[(i + 1) % len(hull)]]
+        t = Fraction(draw(st.integers(1, 8)), 9)
+        pts.append(Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+    elif defect == "equal_y":  # its mirror image, also on the circle
+        p = draw(st.sampled_from(pts))
+        pts.append(Point(-p.x, p.y))
+    scale = draw(st.sampled_from((1, -1, 10 ** 400, TINY, Fraction(7, 3))))
+    shift = draw(st.sampled_from((0, 10 ** 30, Fraction(1, 3))))
+    pts = [Point(p.x * scale + shift, p.y * scale + shift) for p in pts]
+    return draw(st.permutations(list(dict.fromkeys(pts))))
+
+
+@st.composite
+def collinear_sets(draw):
+    """Points on one horizontal, vertical or slanted line."""
+    a = draw(st.one_of(points, extreme_points))
+    d = draw(st.sampled_from((Point(Fraction(1), Fraction(0)),
+                              Point(Fraction(0), Fraction(1)), None)))
+    d = d or draw(points)
+    ts = draw(st.lists(st.fractions(-5, 5, max_denominator=9), min_size=1,
+                       max_size=8, unique=True))
+    return list(dict.fromkeys(Point(a.x + t * d.x, a.y + t * d.y) for t in ts))
+
+
+point_sets = st.one_of(point_lists(st.one_of(points, extreme_points)),
+                       convex_sets(), collinear_sets())
+SQUARE = [pt(0, 0), pt(4, 1), pt(5, 5), pt(1, 4)]  # convex, distinct y
+NAMED_SETS = (
+    [pt(0, 0)],
+    [pt(0, 0), pt(3, 0)],
+    [pt(0, 1), pt(0, 0)],
+    SQUARE + [pt(2, Fraction(1, 2))],              # on the hull edge (0,0)-(4,1)
+    SQUARE + [pt(9, 5)],                           # two equal y on the hull
+    [pt(k, 2) for k in (3, -1, 0, 7)],             # horizontal
+    [pt(2, k) for k in (3, -1, 0, 7)],             # vertical
+    [pt(k, 2 * k + 1) for k in (3, -1, 0, 7)],     # slanted
+    [pt(10 ** 400, 1), pt(-10 ** 400, 2), pt(0, -10 ** 400), pt(1, 10 ** 400)],
+    [pt(TINY, 0), pt(0, TINY), pt(-TINY, -TINY), pt(1, 1)],
+    [pt(0, Fraction(1, 3)), pt(1, Fraction(1, 3) + Fraction(1, 10 ** 40)),
+     pt(2, Fraction(1, 3)), pt(5, 0)],
+    [pt(10 ** 30, 0), pt(10 ** 30 + 1, 0), pt(0, 10 ** 30 + 1), pt(1, 10 ** 30)],
+)
+
+
+def with_named_sets(test):
+    for pts in NAMED_SETS:
+        test = example(pts)(test)
+    return test
 
 
 class TestKernelAgainstFractionOracles:
@@ -313,12 +394,22 @@ class TestKernelAgainstFractionOracles:
             else:
                 assert segments_cross(*seg) == frac_segments_cross(*seg)
 
-    @settings(max_examples=100, deadline=None)
-    @given(point_lists())
-    def test_convex_hull_matches_gift_wrapping(self, pts):
-        assert list(convex_hull(PointSet(pts))) == jarvis_hull(pts)
+    @settings(max_examples=150, deadline=None)
+    @with_named_sets
+    @given(point_sets)
+    def test_cached_order_is_the_fraction_sort(self, pts):
+        assert list(_by_y(PointSet(pts))) == sorted(
+            range(len(pts)), key=lambda i: (pts[i].y, pts[i].x))
 
-    @settings(max_examples=100, deadline=None)
-    @given(point_lists())
+    @settings(max_examples=150, deadline=None)
+    @with_named_sets
+    @given(point_sets)
+    def test_convex_hull_matches_gift_wrapping(self, pts):
+        assert list(convex_hull(PointSet(pts))) == jarvis_hull(pts) == xsort_hull(pts)
+
+    @settings(max_examples=150, deadline=None)
+    @with_named_sets
+    @given(point_sets)
     def test_general_position_matches_slopes(self, pts):
         assert is_general_position(PointSet(pts)) == slope_general_position(pts)
+
