@@ -24,6 +24,11 @@ planarity as the only thing to check per placement. The search runs from an
 explicit stack, one iterator over the candidate vertices per depth, so its
 depth is not bounded by Python's recursion limit.
 
+The planarity check reads one memo, filled on first use: for each ordered
+point pair (a, b), the bit mask of the points strictly left of a -> b. In
+general position no point lies on the line through two others, so two arcs
+with four distinct ends cross iff each one's mask separates the other's ends.
+
 On convex point sets and tree inputs an additional pruning rule applies:
 removing a tree edge splits the tree into two sides, and in every valid
 drawing each side occupies a run of consecutive points along the hull cycle
@@ -254,29 +259,6 @@ class DecideResult:
     nodes_explored: int
 
 
-def _orientation_table(S: PointSet):
-    """geo._orient memoised by point index triple: an eager n^3 table up to 24
-    points (a lazy dict ran 1.6-2x slower on an 18-point gadget), a dict above."""
-    n = len(S)
-    hom = geo._homogeneous(S)
-    orient = geo._orient
-
-    if n <= 24:
-        table = [[[orient(hi, hj, hk) for hk in hom] for hj in hom] for hi in hom]
-        return lambda i, j, k: table[i][j][k]
-
-    cache: dict[tuple[int, int, int], int] = {}
-
-    def lookup(i: int, j: int, k: int) -> int:
-        key = (i, j, k)
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = orient(hom[i], hom[j], hom[k])
-        return got
-
-    return lookup
-
-
 class _WindowPruner:
     """Consecutive-run feasibility for both sides of every tree edge.
 
@@ -344,7 +326,8 @@ def decide_upse(G: Digraph, S: PointSet,
         return DecideResult("not_embeddable", None, 0)
 
     order = geo._by_y(S)
-    orient = _orientation_table(S)
+    H, left_mask = geo._homogeneous(S), geo._left_mask
+    masks: dict[tuple[int, int], int] = {}  # (a, b) -> points left of a -> b
 
     pruner = None
     if opts.use_consecutive_pruning and n >= 3 \
@@ -357,21 +340,27 @@ def decide_upse(G: Digraph, S: PointSet,
 
     point_of = [-1] * n
     remaining_in = [len(in_nb[v]) for v in range(n)]
-    segs: list[tuple[int, int]] = []
+    segs: list[tuple[int, int, int]] = []  # drawn arcs (c, d, side mask of c -> d)
     nodes = 0
     budget = opts.node_budget
 
-    def crosses_existing(v: int, b: int) -> bool:
-        # whether an arc into v at point b would cross an arc already drawn
+    def arcs_into(v: int, q: int) -> list[tuple[int, int, int]] | None:
+        # the arcs into v at point q with their masks, or None if one of them
+        # crosses an arc already drawn
+        new = []
         for u in in_nb[v]:
             a = point_of[u]
-            for c, d in segs:
-                if a == c or a == d or b == c or b == d:
-                    continue
-                if orient(a, b, c) != orient(a, b, d) and \
-                        orient(c, d, a) != orient(c, d, b):
-                    return True
-        return False
+            aq = masks.get((a, q))
+            if aq is None:
+                aq = masks[a, q] = left_mask(H, a, q)
+            for c, d, cd in segs:
+                # q is not drawn yet, so only a can be a shared end; general
+                # position (checked above) makes one bit per end exact
+                if a != c and a != d and (aq >> c ^ aq >> d) & 1 \
+                        and (cd >> a ^ cd >> q) & 1:
+                    return None
+            new.append((a, q, aq))
+        return new
 
     def unplace(v: int) -> None:
         if pruner is not None:
@@ -393,9 +382,9 @@ def decide_upse(G: Digraph, S: PointSet,
             nodes += 1
             if budget is not None and nodes > budget:
                 return DecideResult("budget_exhausted", None, nodes)
-            if crosses_existing(v, q):
+            if (new := arcs_into(v, q)) is None:
                 continue
-            segs.extend([(point_of[u], q) for u in in_nb[v]])
+            segs.extend(new)
             point_of[v] = q
             for w in out_nb[v]:
                 remaining_in[w] -= 1

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import geometry as geo
 from .checker import verify_upse
-from .digraph import Digraph
+from .digraph import Digraph, longest_directed_path_length
 from .embedder import Mapping
 from .errors import (BadN, BadParameters, ExtractionFailed, InvalidInstance,
                      InvalidSolution, NotAValidUPSE, NotConvex,
@@ -33,18 +33,11 @@ from .geometry import Point, PointSet, Sidedness, pt
 
 def gen_binucci_tree(n: int) -> Digraph:
     """The (3n+1)-vertex tree with paths P_u reversed, P_v and P_w forward,
-    joined at r by arcs r->u1, v1->r, w1->r. Requires odd n >= 5."""
+    joined at r by arcs r->u1, v1->r, w1->r: the k-switch member with k = n-1.
+    Requires odd n >= 5."""
     if n < 5 or n % 2 == 0:
         raise BadN(f"n must be an odd integer >= 5, got {n}")
-    vertices = ["r"]
-    vertices += [f"u{i}" for i in range(1, n + 1)]
-    vertices += [f"v{i}" for i in range(1, n + 1)]
-    vertices += [f"w{i}" for i in range(1, n + 1)]
-    arcs = [(f"u{i + 1}", f"u{i}") for i in range(1, n)]
-    arcs += [(f"v{i}", f"v{i + 1}") for i in range(1, n)]
-    arcs += [(f"w{i}", f"w{i + 1}") for i in range(1, n)]
-    arcs += [("r", "u1"), ("v1", "r"), ("w1", "r")]
-    return Digraph.from_labels(vertices, arcs)
+    return gen_kswitch_tree(n, n - 1)
 
 
 def gen_binucci_pointset(n: int) -> PointSet:
@@ -90,7 +83,6 @@ def gen_kswitch_tree(n: int, k: int) -> Digraph:
     arcs += [("r", "u1"), ("v1", "r"), ("w1", "r")]
     G = Digraph.from_labels(vertices, arcs)
 
-    from .digraph import longest_directed_path_length
     got = longest_directed_path_length(G)
     if got != k:
         raise PropertyCheckFailed(f"canonical member has longest path {got}, wanted {k}")

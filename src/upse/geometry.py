@@ -76,13 +76,28 @@ def _orient(a: Hom, b: Hom, c: Hom) -> int:
     return (d > 0) - (d < 0)
 
 
+def _wedge(u: Hom, v: Hom) -> Hom:
+    # the line through two points, or two lines' common point;
+    # as a line, _wedge(a, b) . p == _det(a, b, p) for every point p
+    (ux, uy, uw), (vx, vy, vw) = u, v
+    return (uy * vw - uw * vy, uw * vx - ux * vw, ux * vy - uy * vx)
+
+
 def _meet(a: Hom, b: Hom, c: Hom, d: Hom) -> Hom:
     """The point where line ab meets line cd, which must not be parallel."""
-    def wedge(u, v):  # the line through two points, or two lines' common point
-        (ux, uy, uw), (vx, vy, vw) = u, v
-        return (uy * vw - uw * vy, uw * vx - ux * vw, ux * vy - uy * vx)
-    x, y, w = wedge(wedge(a, b), wedge(c, d))
+    x, y, w = _wedge(_wedge(a, b), _wedge(c, d))
     return (x, y, w) if w > 0 else (-x, -y, -w)
+
+
+def _left_mask(H: tuple[Hom, ...], a: int, b: int) -> int:
+    """Bit k set iff point H[k] lies strictly left of the line a -> b:
+    one 3-term dot product per point."""
+    lx, ly, lw = _wedge(H[a], H[b])
+    mask = 0
+    for k, (x, y, w) in enumerate(H):
+        if lx * x + ly * y + lw * w > 0:
+            mask |= 1 << k
+    return mask
 
 
 def _on_segment(a: Hom, b: Hom, p: Hom) -> bool:

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 import sys
 import time
@@ -8,10 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from upse import (Digraph, Mapping, NotGeneralPosition, Point, PointSet,
-                  SizeMismatch, SolverOptions, Violation, ViolationKind,
-                  checker, decide_upse, embed_switch_tree,
-                  gen_binucci_pointset, gen_binucci_tree, gen_kswitch_tree, pt,
+from upse import (Digraph, Mapping, NotGeneralPosition, Orientation,
+                  PartitionInstance, Point, PointSet, SizeMismatch,
+                  SolverOptions, Violation, ViolationKind, checker,
+                  decide_upse, embed_switch_tree, gen_binucci_pointset,
+                  gen_binucci_tree, gen_gadget, gen_kswitch_tree, geometry,
+                  is_general_position, orientation, pt, segments_cross,
                   verify_upse)
 
 from helpers import (brute_force_embeddable, circle_point, pairwise_violations,
@@ -235,6 +238,65 @@ class TestSweepAgainstPairwiseOracle:
         assert time.perf_counter() - t0 < 1.0
 
 
+@st.composite
+def mask_sets(draw):
+    """Point sets for the side masks: rational-circle points, integer points
+    in general position, the latter scaled by 10^30 and shifted, or each
+    coordinate over its own denominator (which may break general position)."""
+    kind = draw(st.sampled_from(("circle", "integer", "scaled", "mixed")))
+    n = draw(st.integers(4, 9))
+    if kind == "circle":
+        pts = draw(st.lists(circle_points, min_size=n, max_size=n,
+                            unique_by=lambda p: p.y))
+    else:
+        pts = list(random_general(random.Random(draw(st.integers(0, 10 ** 6))), n))
+        if kind == "scaled":
+            pts = [Point(x * 10 ** 30 + Fraction(1, 3), y * 10 ** 30 - 7) for x, y in pts]
+        elif kind == "mixed":
+            den = st.integers(1, 97)
+            pts = [Point(x / draw(den), y / draw(den)) for x, y in pts]
+    return PointSet(dict.fromkeys(pts))
+
+
+class TestSideMasks:
+    """The solver's planarity test reads geometry._left_mask: each bit against
+    orientation, and the one-bit crossing test against segments_cross."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mask_sets())
+    def test_masks_agree_with_the_predicates(self, S):
+        n, H = len(S), geometry._homogeneous(S)
+        mask = {(a, b): geometry._left_mask(H, a, b)
+                for a, b in itertools.permutations(range(n), 2)}
+        for (a, b), ab in mask.items():
+            assert ab >> n == 0
+            for k in range(n):
+                left = orientation(S[a], S[b], S[k]) is Orientation.COUNTERCLOCKWISE
+                assert ab >> k & 1 == left
+        if not is_general_position(S):
+            return
+        for a, q, c, d in itertools.permutations(range(n), 4):
+            aq, cd = mask[a, q], mask[c, d]
+            crossed = bool((aq >> c ^ aq >> d) & 1 and (cd >> a ^ cd >> q) & 1)
+            assert crossed == segments_cross(S[a], S[q], S[c], S[d])
+
+
+# seeded searches at n = 20 to 30, under a node budget of 20 000:
+# (family, n, seed, result, nodes explored)
+PINNED_SEARCHES = [
+    ("dag", 20, 0, "not_embeddable", 12427), ("dag", 20, 3, "not_embeddable", 367),
+    ("dag", 24, 0, "not_embeddable", 16883), ("dag", 24, 3, "not_embeddable", 452),
+    ("dag", 25, 0, "not_embeddable", 16769), ("dag", 25, 3, "not_embeddable", 424),
+    ("dag", 28, 0, "not_embeddable", 14680), ("dag", 28, 3, "not_embeddable", 354),
+    ("dag", 30, 0, "not_embeddable", 11978), ("dag", 30, 3, "not_embeddable", 582),
+    ("tree", 20, 1, "embeddable", 2018), ("tree", 20, 4, "embeddable", 1088),
+    ("tree", 24, 1, "embeddable", 6820), ("tree", 24, 7, "embeddable", 1094),
+    ("tree", 25, 1, "embeddable", 8229), ("tree", 25, 5, "embeddable", 958),
+    ("tree", 28, 0, "embeddable", 7088), ("tree", 28, 7, "embeddable", 1763),
+    ("tree", 30, 1, "embeddable", 13910), ("tree", 30, 5, "embeddable", 3236),
+]
+
+
 class TestDecide:
     def test_requires_general_position(self):
         G = Digraph(["a", "b"], [(0, 1)])
@@ -335,6 +397,22 @@ class TestDecide:
         kswitch = [decide_upse(gen_kswitch_tree(7, k), S).nodes_explored
                    for k in range(2, 7)]
         assert kswitch == [5305, 3282, 2822, 2044, 576]
+
+    @pytest.mark.parametrize("family, n, seed, result, nodes", PINNED_SEARCHES)
+    def test_seeded_searches_are_pinned(self, family, n, seed, result, nodes):
+        # random DAGs on integer sets, random tree DAGs on rational-circle sets
+        rng = random.Random(seed)
+        if family == "dag":
+            G, S = random_dag(rng, n), random_general(rng, n)
+        else:
+            G, S = random_tree_dag(rng, n), random_convex(rng, n)
+        res = decide_upse(G, S, SolverOptions(node_budget=20_000))
+        assert (res.result, res.nodes_explored) == (result, nodes)
+
+    def test_gadget_search_is_pinned(self):
+        g = gen_gadget(PartitionInstance(3, (1,) * 6))
+        res = decide_upse(g.graph, g.points)
+        assert (res.result, res.nodes_explored) == ("embeddable", 59246)
 
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
         n = 300

@@ -77,11 +77,16 @@ class TestKSwitchTree:
                 assert longest_directed_path_length(T) == k
 
     def test_extreme_k_reproduces_the_fixed_tree(self):
-        for n in (5, 7):
-            T = gen_kswitch_tree(n, n - 1)
-            B = gen_binucci_tree(n)
-            assert T.vertices == B.vertices
-            assert set(T.arcs) == set(B.arcs)
+        # the fixed tree written out, compared in order: the arc order fixes
+        # the search order, and so the pinned node counts
+        for n in range(5, 52, 2):
+            vertices = ["r"] + [f"{p}{i}" for p in "uvw" for i in range(1, n + 1)]
+            arcs = [(f"u{i + 1}", f"u{i}") for i in range(1, n)]
+            arcs += [(f"{p}{i}", f"{p}{i + 1}") for p in "vw" for i in range(1, n)]
+            arcs += [("r", "u1"), ("v1", "r"), ("w1", "r")]
+            for T in (gen_kswitch_tree(n, n - 1), gen_binucci_tree(n)):
+                assert list(T.vertices) == vertices
+                assert [(T.vertices[t], T.vertices[h]) for t, h in T.arcs] == arcs
 
     def test_first_runs_are_anchored(self):
         T = gen_kswitch_tree(9, 3)
