@@ -20,14 +20,23 @@ pairs.
 decide_upse is an exhaustive backtracking search. Points are consumed bottom
 to top; a vertex may take the next point only once all its in-neighbors are
 placed, which makes the upward condition hold by construction and leaves
-planarity as the only thing to check per placement. The search runs from an
-explicit stack, one iterator over the candidate vertices per depth, so its
-depth is not bounded by Python's recursion limit.
+planarity as the only thing to check per placement. The ready vertices are
+one bit mask over a fixed fail-first order (most in-arcs first), updated as
+vertices are placed and removed, so each depth steps straight to its next
+ready candidate. The search runs from an explicit stack, one rank per depth,
+so its depth is not bounded by Python's recursion limit, and a node budget
+counts exactly the nodes explored.
 
-The planarity check reads one memo, filled on first use: for each ordered
-point pair (a, b), the bit mask of the points strictly left of a -> b. In
-general position no point lies on the line through two others, so two arcs
-with four distinct ends cross iff each one's mask separates the other's ends.
+The planarity check is a memo that grows with the arcs actually drawn. Each
+point pair (a, q) that is tested keeps the bit mask of the points strictly
+left of a -> q; in general position no point lies on the line through two
+others, so two arcs with four distinct ends cross iff each one's mask
+separates the other's ends. A pair gets a dense id when an arc is first drawn
+there, and the arcs on the stack are one mask of ids. Each tested pair also
+keeps the ids already tested against it and those among them that cross it,
+so a placement tests only the drawn ids that are new to its pair, and fails
+iff a drawn id crosses. No drawn arc is tested against a pair twice, and the
+id masks hold bits only for pairs that were drawn.
 
 On convex point sets and tree inputs an additional pruning rule applies:
 removing a tree edge splits the tree into two sides, and in every valid
@@ -264,7 +273,7 @@ class _WindowPruner:
 
     Rooted at vertex 0, each non-root vertex w stands for the edge to its
     parent and for the side under it: own[w] holds the hull positions of the
-    placed vertices of w's subtree, witness[w] the start of the last window
+    placed vertices of w's subtree, window[w] the mask of the last window
     that fitted it. The other side of the edge fits the complementary window
     exactly when this one fits, so one check per edge covers both sides."""
 
@@ -280,28 +289,31 @@ class _WindowPruner:
         self.parent = tree.parent
         self.edges = [(w, (1 << tree.size[w]) - 1) for w in tree.order[1:]]
         self.own = [0] * n
-        self.witness = [0] * n
+        self.window = [0] * n
+        for w, base in self.edges:
+            self.window[w] = base
         self.placed_all = 0
 
     def _flip(self, v: int, p: int) -> None:
         # v at point p enters or leaves its own side and every side above it
         bit = 1 << self.pos[p]
         self.placed_all ^= bit
+        own, parent = self.own, self.parent
         while v >= 0:
-            self.own[v] ^= bit
-            v = self.parent[v]
+            own[v] ^= bit
+            v = parent[v]
 
     def place(self, v: int, p: int) -> bool:
         """Record v at point p; report whether every edge's side still fits."""
         self._flip(v, p)
-        placed, own, witness, n = self.placed_all, self.own, self.witness, self.n
+        placed, own, window, n = self.placed_all, self.own, self.window, self.n
         for w, base in self.edges:
-            mine, s = own[w], witness[w]
-            if placed & (base << s | base >> (n - s)) == mine:
+            if placed & window[w] == own[w]:
                 continue
             for s in range(n):
-                if placed & (base << s | base >> (n - s)) == mine:
-                    witness[w] = s
+                win = base << s | base >> (n - s)
+                if placed & win == own[w]:
+                    window[w] = win
                     break
             else:
                 return False
@@ -327,79 +339,127 @@ def decide_upse(G: Digraph, S: PointSet,
 
     order = geo._by_y(S)
     H, left_mask = geo._homogeneous(S), geo._left_mask
-    masks: dict[tuple[int, int], int] = {}  # (a, b) -> points left of a -> b
 
     pruner = None
     if opts.use_consecutive_pruning and n >= 3 \
             and dg.underlying_is_tree(G) and geo.is_convex_position(S):
         pruner = _WindowPruner(G, S)
 
-    # static fail-first candidate order: many satisfied in-arcs first
+    # static fail-first candidate order: many satisfied in-arcs first; the
+    # ready vertices (unplaced, every in-neighbor placed) are one mask over
+    # the ranks in this order
     by_pressure = sorted(range(n), key=lambda v: (-len(G.in_neighbors[v]), v))
     in_nb, out_nb = G.in_neighbors, G.out_neighbors
+    rank = [0] * n
+    for r, v in enumerate(by_pressure):
+        rank[v] = r
+    ready = sum(1 << rank[v] for v in range(n) if not in_nb[v])
+
+    # memo[a * n + q] for each tested point pair (a, q): [its side mask, the
+    # arc ids still open against it (untested, or known to cross it), those
+    # known to cross it, its own id or -1]. A pair gets the next id when an
+    # arc is first drawn there; ends[id] = (id, a, q, side mask), and drawn
+    # holds the ids of the arcs on the stack
+    memo: dict[int, list[int]] = {}
+    ends: list[tuple[int, int, int, int]] = []
+    drawn = 0
 
     point_of = [-1] * n
     remaining_in = [len(in_nb[v]) for v in range(n)]
-    segs: list[tuple[int, int, int]] = []  # drawn arcs (c, d, side mask of c -> d)
     nodes = 0
-    budget = opts.node_budget
+    budget = -1 if opts.node_budget is None else opts.node_budget
 
-    def arcs_into(v: int, q: int) -> list[tuple[int, int, int]] | None:
-        # the arcs into v at point q with their masks, or None if one of them
-        # crosses an arc already drawn
-        new = []
+    def arcs_into(v: int, q: int, drawn: int) -> int:
+        # the ids of the arcs into v at point q, or -1 if one of them crosses
+        # a drawn arc; a drawn id is tested against a pair at most once
+        ids, unnamed = 0, False
         for u in in_nb[v]:
             a = point_of[u]
-            aq = masks.get((a, q))
-            if aq is None:
-                aq = masks[a, q] = left_mask(H, a, q)
-            for c, d, cd in segs:
-                # q is not drawn yet, so only a can be a shared end; general
-                # position (checked above) makes one bit per end exact
-                if a != c and a != d and (aq >> c ^ aq >> d) & 1 \
-                        and (cd >> a ^ cd >> q) & 1:
-                    return None
-            new.append((a, q, aq))
-        return new
-
-    def unplace(v: int) -> None:
-        if pruner is not None:
-            pruner.unplace(v, point_of[v])
-        del segs[len(segs) - len(in_nb[v]):]
-        for w in out_nb[v]:
-            remaining_in[w] += 1
-        point_of[v] = -1
+            e = memo.get(a * n + q)
+            if e is None:
+                e = memo[a * n + q] = [left_mask(H, a, q), -1, 0, -1]
+            if fresh := e[1] & drawn:
+                if e[2] & drawn:
+                    return -1
+                aq, rest = e[0], fresh
+                while rest:  # one run of consecutive untested ids at a time
+                    low = rest & -rest
+                    run = rest + low
+                    rest &= run
+                    for j, c, d, cd in ends[low.bit_length() - 1:
+                                             (run & -run).bit_length() - 1]:
+                        # q is not drawn yet, so only a can be a shared end;
+                        # general position (checked above) makes one bit per
+                        # end exact
+                        if a != c and a != d and (aq >> c ^ aq >> d) & 1 \
+                                and (cd >> a ^ cd >> q) & 1:
+                            # ids run upward: those below j are tested
+                            # now, and j stays open as a crossing
+                            e[1] ^= fresh & ((1 << j) - 1)
+                            e[2] |= 1 << j
+                            return -1
+                e[1] ^= fresh
+            if e[3] < 0:
+                unnamed = True
+            else:
+                ids |= 1 << e[3]
+        if unnamed:
+            for u in in_nb[v]:
+                e = memo[point_of[u] * n + q]
+                if e[3] < 0:
+                    e[3] = len(ends)
+                    ends.append((e[3], point_of[u], q, e[0]))
+                    ids |= 1 << e[3]
+        return ids
 
     # the vertices placed on the lowest points so far, and for each depth the
-    # candidates still to try on that depth's point: an explicit stack
+    # rank of the last candidate tried on that depth's point: an explicit stack
     placed: list[int] = []
-    candidates = [iter(by_pressure)]
-    while candidates and len(placed) < n:
-        q = order[len(placed)]
-        for v in candidates[-1]:
-            if point_of[v] >= 0 or remaining_in[v]:
-                continue
-            nodes += 1
-            if budget is not None and nodes > budget:
+    tried = [-1]
+    while tried and len(placed) < n:
+        q, r = order[len(placed)], tried[-1]
+        while above := ready >> (r + 1):  # the next ready vertex by rank
+            r += (above & -above).bit_length()
+            v = by_pressure[r]
+            if nodes == budget:
                 return DecideResult("budget_exhausted", None, nodes)
-            if (new := arcs_into(v, q)) is None:
+            nodes += 1
+            if (ids := arcs_into(v, q, drawn)) < 0:
                 continue
-            segs.extend(new)
+            # the pruner reads only its own state: ask it before drawing
+            if pruner is not None and not pruner.place(v, q):
+                pruner.unplace(v, q)
+                continue
+            drawn |= ids
             point_of[v] = q
+            ready ^= 1 << r
             for w in out_nb[v]:
                 remaining_in[w] -= 1
-            if pruner is None or pruner.place(v, q):
-                placed.append(v)
-                candidates.append(iter(by_pressure))
-                break
-            unplace(v)
+                if not remaining_in[w]:
+                    ready |= 1 << rank[w]
+            placed.append(v)
+            tried[-1] = r
+            tried.append(-1)
+            break
         else:  # every candidate failed: backtrack one point
-            candidates.pop()
+            tried.pop()
             if placed:
-                unplace(placed.pop())
+                v = placed.pop()
+                q = point_of[v]
+                if pruner is not None:
+                    pruner.unplace(v, q)
+                for u in in_nb[v]:
+                    drawn ^= 1 << memo[point_of[u] * n + q][3]
+                for w in out_nb[v]:
+                    if not remaining_in[w]:
+                        ready ^= 1 << rank[w]
+                    remaining_in[w] += 1
+                ready |= 1 << rank[v]
+                point_of[v] = -1
 
     if len(placed) < n:
         return DecideResult("not_embeddable", None, nodes)
+    memo.clear()  # free the search's memory before the final check
     m = Mapping(tuple(point_of))
     bad = verify_upse(G, S, m)
     if bad:

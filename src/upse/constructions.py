@@ -13,7 +13,9 @@ B/4 < a < B/2) into a single-source digraph and a point set of matching size
 m(B+1)+2 such that upward planar embeddability of the one into the other is
 equivalent to solvability of the instance. Both reduction directions are
 provided: packing a known partition into a drawing, and reading a partition
-back out of any valid drawing.
+back out of a drawing in which every item's path lies inside one group. The
+packed drawings have that layout; other valid drawings, such as the ones the
+exact solver may return, need not have it, and are not decoded.
 """
 
 from __future__ import annotations
@@ -325,8 +327,14 @@ def solution_to_embedding(g: GadgetInstance, sol: PartitionSolution) -> Mapping:
 
 
 def embedding_to_solution(g: GadgetInstance, M: Mapping) -> PartitionSolution:
-    """Read a partition out of any valid drawing of the gadget: each item goes
-    to the group whose points host its path."""
+    """Read a partition out of a valid drawing of the gadget in which every
+    item's path lies on the points of one group: each item goes to that group.
+
+    Any other drawing raises ExtractionFailed, as does a group that does not
+    host three paths summing to B. The drawings of solution_to_embedding have
+    this layout, but a valid drawing need not: of the 5 760 valid drawings of
+    the B = 3 gadget with A = (1,)*6, the 1 440 that have it decode and the
+    other 4 320 raise."""
     bad = verify_upse(g.graph, g.points, M)
     if bad:
         raise NotAValidUPSE(str(bad[0]))

@@ -9,7 +9,8 @@ from fractions import Fraction
 import networkx as nx
 
 from upse import (Digraph, Mapping, Point, PointSet, SideSplit, Violation,
-                  ViolationKind, convex_hull, point_right_of_line, verify_upse)
+                  ViolationKind, convex_hull, point_right_of_line,
+                  segments_cross, verify_upse)
 
 
 def circle_point(s: Fraction, left: bool = False) -> Point:
@@ -135,6 +136,82 @@ def brute_force_embeddable(G: Digraph, S: PointSet) -> bool:
         if not verify_upse(G, S, Mapping(perm)):
             return True
     return False
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def reference_search(G: Digraph, S: PointSet, prune: bool = True,
+                     budget: int | None = None) -> tuple[str, int, tuple | None]:
+    """decide_upse as a plain recursive search: (result, nodes explored,
+    assignment or None). The same candidate order (points bottom to top, ready
+    vertices by most in-arcs, then index) and the same budget rule (a node
+    past the budget is never counted), but every new arc is tested against
+    every drawn one with segments_cross on Points, with no memo, and the
+    window rule is checked on sets for every tree edge after each placement.
+    S must be in general position."""
+    n = G.n
+    if not nx.is_directed_acyclic_graph(nx.DiGraph(list(G.arcs))):
+        return "not_embeddable", 0, None
+    order = sorted(range(n), key=lambda p: (S[p].y, S[p].x))
+    by_pressure = sorted(range(n), key=lambda v: (-len(G.in_neighbors[v]), v))
+    sides = []  # one side of each tree edge, for the window rule
+    hull = jarvis_hull(list(S.points)) if n >= 3 else []
+    U = nx.Graph(list(G.arcs))
+    U.add_nodes_from(range(n))
+    if prune and len(hull) == n >= 3 and nx.is_tree(U):
+        for x, y in G.arcs:
+            U.remove_edge(x, y)
+            side = nx.node_connected_component(U, y)
+            U.add_edge(x, y)
+            sides.append(side)
+    pos = {p: k for k, p in enumerate(hull)}
+    point_of: list[int | None] = [None] * n
+    drawn: list[tuple[Point, Point]] = []
+    nodes = 0
+
+    def windows_fit() -> bool:
+        if not sides:
+            return True
+        placed = {pos[p] for p in point_of if p is not None}
+        for side in sides:
+            mine = {pos[point_of[v]] for v in side if point_of[v] is not None}
+            if not any({(s + i) % n for i in range(len(side))} & placed == mine
+                       for s in range(n)):
+                return False
+        return True
+
+    def search(depth: int) -> bool:
+        nonlocal nodes
+        if depth == n:
+            return True
+        q = order[depth]
+        for v in by_pressure:
+            if point_of[v] is not None or \
+                    any(point_of[u] is None for u in G.in_neighbors[v]):
+                continue
+            if nodes == budget:
+                raise _OutOfBudget
+            nodes += 1
+            new = [(S[point_of[u]], S[q]) for u in G.in_neighbors[v]]
+            if any(segments_cross(a, b, c, d) for a, b in new for c, d in drawn):
+                continue
+            point_of[v] = q
+            drawn.extend(new)
+            if windows_fit() and search(depth + 1):
+                return True
+            point_of[v] = None
+            del drawn[len(drawn) - len(new):]
+        return False
+
+    try:
+        found = search(0)
+    except _OutOfBudget:
+        return "budget_exhausted", nodes, None
+    if found:
+        return "embeddable", nodes, tuple(point_of)
+    return "not_embeddable", nodes, None
 
 
 def jarvis_hull(points: list[Point]) -> list[int]:

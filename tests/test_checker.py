@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from upse import (Digraph, Mapping, NotGeneralPosition, Orientation,
 
 from helpers import (brute_force_embeddable, circle_point, pairwise_violations,
                      random_convex, random_dag, random_general,
-                     random_switch_tree, random_tree_dag)
+                     random_switch_tree, random_tree_dag, reference_search)
 
 
 def kinds(G, S, m):
@@ -281,6 +282,9 @@ class TestSideMasks:
             assert crossed == segments_cross(S[a], S[q], S[c], S[d])
 
 
+# the drawing the search returns for the B = 3 gadget, A = (1,)*6
+GADGET_B3_DRAWING = (8, 5, 3, 4, 0, 1, 2, 6, 7, 9)
+
 # seeded searches at n = 20 to 30, under a node budget of 20 000:
 # (family, n, seed, result, nodes explored)
 PINNED_SEARCHES = [
@@ -374,7 +378,7 @@ class TestDecide:
         res = decide_upse(G, S, SolverOptions(node_budget=1))
         assert res.result == "budget_exhausted"
         assert res.mapping is None
-        assert res.nodes_explored >= 1
+        assert res.nodes_explored == 1
         full = decide_upse(G, S)
         assert full.result == "embeddable"
 
@@ -413,6 +417,20 @@ class TestDecide:
         g = gen_gadget(PartitionInstance(3, (1,) * 6))
         res = decide_upse(g.graph, g.points)
         assert (res.result, res.nodes_explored) == ("embeddable", 59246)
+        assert res.mapping.assignment == GADGET_B3_DRAWING
+
+    def test_budget_is_exact(self):
+        # the node that would pass the budget is neither explored nor
+        # counted, and a search that needs exactly the budget still finishes
+        g = gen_gadget(PartitionInstance(3, (1,) * 6))
+        for budget, result, nodes in ((59246, "embeddable", 59246),
+                                      (59245, "budget_exhausted", 59245),
+                                      (0, "budget_exhausted", 0)):
+            res = decide_upse(g.graph, g.points, SolverOptions(node_budget=budget))
+            assert (res.result, res.nodes_explored) == (result, nodes)
+        assert res.mapping is None
+        assert decide_upse(g.graph, g.points, SolverOptions(
+            node_budget=59246)).mapping.assignment == GADGET_B3_DRAWING
 
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
         n = 300
@@ -432,3 +450,75 @@ class TestDecide:
         res = decide_upse(G, S)
         assert res.result == "embeddable"
         assert res.nodes_explored >= 2
+
+
+@st.composite
+def search_instances(draw):
+    """A random DAG or tree DAG on a random integer set or rational-circle
+    convex set, pruned or not, under no budget or a small one."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    n = draw(st.integers(1, 11))
+    G = random_dag(rng, n) if draw(st.booleans()) else random_tree_dag(rng, n)
+    kind = draw(st.sampled_from(("general", "mixed", "left", "right")))
+    S = random_general(rng, n) if kind == "general" else random_convex(rng, n, kind)
+    budget = draw(st.integers(0, 2000) if n > 8 else
+                  st.one_of(st.none(), st.integers(0, 2000)))
+    return G, S, draw(st.booleans()), budget
+
+
+class TestSearchAgainstReference:
+    """decide_upse against tests/helpers.reference_search: the same candidate
+    order, with every new arc tested against every drawn one by
+    segments_cross and no memo. Result, node count and drawing must agree."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(search_instances())
+    def test_searches_agree(self, instance):
+        G, S, prune, budget = instance
+        res = decide_upse(G, S, SolverOptions(use_consecutive_pruning=prune,
+                                              node_budget=budget))
+        got = (res.result, res.nodes_explored,
+               res.mapping.assignment if res.mapping else None)
+        assert got == reference_search(G, S, prune, budget)
+
+    def test_pinned_searches_agree(self):
+        for k in (5, 7):
+            G, S = gen_binucci_tree(k), gen_binucci_pointset(k)
+            for prune in (True, False):
+                res = decide_upse(G, S, SolverOptions(use_consecutive_pruning=prune,
+                                                      node_budget=5000))
+                assert (res.result, res.nodes_explored, None) == \
+                    reference_search(G, S, prune, 5000)
+
+
+class TestScale:
+    """The crossing memo grows with the arcs drawn, not with the point pairs
+    squared: peak memory of the search under tracemalloc."""
+
+    def test_long_monotone_path(self):
+        # every arc is tested once against every arc below it; a memo of n^2
+        # bits per tested pair would hold 1 000 x 10^6 bits, about 125 MB
+        n = 1000
+        G = Digraph([f"x{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+        S = random_convex(random.Random(8), n)
+        assert is_general_position(S)
+        tracemalloc.start()
+        try:
+            res = decide_upse(G, S, SolverOptions(use_consecutive_pruning=False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.result, res.nodes_explored) == ("embeddable", n)
+        assert peak < 4 * 2 ** 20
+
+    def test_gadget_search_does_not_grow_per_node(self):
+        # 80 000 nodes: a record of even 8 bytes per node would pass the bound
+        g = gen_gadget(PartitionInstance(13, (4, 4, 4, 4, 4, 6)))
+        tracemalloc.start()
+        try:
+            res = decide_upse(g.graph, g.points, SolverOptions(node_budget=80_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.result, res.nodes_explored) == ("budget_exhausted", 80_000)
+        assert peak < 256 * 2 ** 10

@@ -145,6 +145,16 @@ class TestDecide:
         assert main(["decide", "--graph", g, "--points", s, "--budget", "1"]) == 3
         assert json.loads(capsys.readouterr().out)["result"] == "budget_exhausted"
 
+    def test_budget_caps_the_reported_nodes(self, tmp_path, capsys):
+        tree = tmp_path / "t.json"
+        pts = tmp_path / "pts.json"
+        assert main(["generate", "binucci-tree", "--n", "5", "--out", str(tree)]) == 0
+        assert main(["generate", "binucci-points", "--n", "5", "--out", str(pts)]) == 0
+        assert main(["decide", "--graph", str(tree), "--points", str(pts),
+                     "--budget", "10"]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "result": "budget_exhausted", "nodes_explored": 10}
+
     def test_budget_env_default(self, tmp_path, capsys, monkeypatch):
         g, s = path_files(tmp_path)
         monkeypatch.setenv("UPSE_NODE_BUDGET", "1")
