@@ -99,12 +99,13 @@ class PartitionInstance:
     A: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.B, int) or self.B <= 0:
+        # a bool is an int to isinstance, and would serialize as true
+        if not isinstance(self.B, int) or isinstance(self.B, bool) or self.B <= 0:
             raise InvalidInstance("B must be a positive integer")
         if len(self.A) == 0 or len(self.A) % 3 != 0:
             raise InvalidInstance("A must hold 3m items for some m >= 1")
         for a in self.A:
-            if not isinstance(a, int) or a <= 0:
+            if not isinstance(a, int) or isinstance(a, bool) or a <= 0:
                 raise InvalidInstance("items must be positive integers")
             if not (4 * a > self.B and 2 * a < self.B):
                 raise InvalidInstance(f"item {a} violates B/4 < a < B/2 for B={self.B}")
@@ -158,9 +159,22 @@ def _sidedness_or_fail(sub: PointSet, what: str) -> Sidedness:
         raise PropertyCheckFailed(f"{what}: {exc}") from exc
 
 
+def _extends_general_position(placed_h: list[geo.Hom], placed_y: set,
+                              cand: list[Point]) -> bool:
+    """Whether the general-position points with homogeneous coordinates
+    placed_h and ys placed_y stay in general position with cand added: no y
+    of cand repeats a placed y or another y of cand, and no triple through a
+    point of cand is collinear."""
+    ys = {p.y for p in cand}
+    return len(ys) == len(cand) and ys.isdisjoint(placed_y) and \
+        geo._no_collinear_triple(placed_h + [geo._hom(p) for p in cand], len(placed_h))
+
+
 def _check_gadget_points(points: PointSet, groups, b_index: int, t_index: int) -> None:
     # the five structural properties; each failure falsifies the coordinate formula
     b, t = points[b_index], points[t_index]
+    h = geo._homogeneous(points)
+    hb, ht = h[b_index], h[t_index]
     m = len(groups)
     if not geo.is_general_position(points):
         raise PropertyCheckFailed("gadget points not in general position")
@@ -176,20 +190,23 @@ def _check_gadget_points(points: PointSet, groups, b_index: int, t_index: int) -
         lo_high = max(points[i].y for i in groups[gi])
         if not hi_low > lo_high:
             raise PropertyCheckFailed(f"C_{gi + 2} is not entirely above C_{gi + 1}")
+    # b and t are extremal: l_i runs up from b to the top of C_i, f_i up from
+    # that top to t, and a point is left of a line when it turns counterclockwise
     for gi, grp in enumerate(groups, 1):
-        top = points[grp[-1]]
+        top = h[grp[-1]]
         for gj, other in enumerate(groups, 1):
             for idx in other:
                 if idx == grp[-1]:
                     continue
-                p = points[idx]
-                if gj <= gi and not geo.point_left_of_line(p, b, top):
+                p = h[idx]
+                side = geo._orient(hb, top, p)
+                if gj <= gi and side <= 0:
                     raise PropertyCheckFailed(
                         f"point {idx} of C_{gj} is not left of line l_{gi}")
-                if gj > gi and not geo.point_right_of_line(p, b, top):
+                if gj > gi and side >= 0:
                     raise PropertyCheckFailed(
                         f"point {idx} of C_{gj} is not right of line l_{gi}")
-                if gj >= gi and not geo.point_right_of_line(p, t, top):
+                if gj >= gi and geo._orient(top, ht, p) >= 0:
                     raise PropertyCheckFailed(
                         f"point {idx} of C_{gj} is not right of line f_{gi}")
     if m >= 2:
@@ -235,9 +252,14 @@ def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
     general position where the raw layout has exact collinear triples, while
     preserving every structural property the reduction argument uses:
 
-    - each group may slide down by a minimal integer (usually 0) until it is
-      collinearity-free against the points above it; the slide widens the
-      band gaps and never moves x, so the bounding box is untouched;
+    - from the top group down, each group may slide down by a minimal integer
+      (usually 0) until it is collinearity-free against the points above it;
+      the slide widens the band gaps and never moves x, so the bounding box
+      is untouched. The points above are in general position already, so an
+      attempt is tested only through the group's own points: their ys against
+      a set of the ys placed, and their directions to every placed point and
+      to each other, on homogeneous integers kept across groups. A group of
+      B+1 points below p placed points costs O(B(p+B)) per attempt;
     - b keeps its y but its x gains 1/Q for Q = y(t) - min y + 1. Any line
       through two of the integer points meets b's horizontal at an x whose
       reduced denominator divides some y-difference, hence is < Q; an x with
@@ -251,8 +273,10 @@ def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
       every B. Raising x only widens the left half-planes of the separating
       lines, so the other checked properties are unaffected.
 
-    The five structural properties are re-verified on the final coordinates;
-    a failure raises PropertyCheckFailed and means the generator is wrong.
+    The five structural properties are re-verified on the final coordinates,
+    with one whole-set general-position test and the separating lines tested
+    on the set's cached homogeneous integers; a failure raises
+    PropertyCheckFailed and means the generator is wrong.
     """
     B, m = inst.B, inst.m
 
@@ -268,25 +292,28 @@ def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
 
     base_groups, base_b, top = gadget_base_points(B, m)
 
-    placed: list[Point] = [top]
+    # the placed points stay in general position, so a slid group can only
+    # fail the test through a y or a triple that holds one of its own points
+    placed_h: list[geo.Hom] = [geo._hom(top)]
+    placed_y = {top.y}
+    lowest = top.y
     shifted: list[list[Point]] = []
     for grp in reversed(base_groups):  # top group first, sliding only downward
-        ceiling = min(p.y for p in placed[1:]) if len(placed) > 1 else None
         v = 0
         while True:
             cand = [Point(p.x, p.y - v) for p in grp]
-            if ceiling is not None and max(p.y for p in cand) >= ceiling:
+            if max(p.y for p in cand) >= lowest:
                 raise PropertyCheckFailed("group slide collapsed the band gap")
-            # placed is in general position and the groups' x ranges are
-            # disjoint: only a triple or a y through cand can fail the test
-            if geo.is_general_position(PointSet(placed + cand)):
+            if _extends_general_position(placed_h, placed_y, cand):
                 break
             v += 1
         shifted.append(cand)
-        placed += cand
+        placed_h += map(geo._hom, cand)
+        placed_y.update(p.y for p in cand)
+        lowest = min(p.y for p in cand)
     shifted.reverse()
 
-    q = top.y - min(p.y for p in placed) + 1
+    q = top.y - lowest + 1
     convex_floor = (m * m * (B + 2) ** 2 - (B + 1) ** 2 - 2) // 3 + 1
     b = Point(max(base_b.x, convex_floor) + Fraction(1, q), base_b.y)
 

@@ -38,6 +38,13 @@ def rational_from_json(v: Any) -> Fraction:
     raise FormatError(f"not a rational: {v!r}")
 
 
+def int_from_json(v: Any) -> int:
+    # int() would read true as 1 and 4.5 as 4
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise FormatError(f"not an integer: {v!r}")
+    return v
+
+
 def rational_to_json(f: Fraction) -> int | str:
     if f.denominator == 1:
         return int(f)
@@ -134,11 +141,13 @@ def gadget_from_obj(obj: Any) -> GadgetInstance:
         raise FormatError("gadget bundle must be an object")
     try:
         inst_raw = obj["instance"]
-        inst = PartitionInstance(int(inst_raw["B"]), tuple(int(a) for a in inst_raw["A"]))
+        inst = PartitionInstance(int_from_json(inst_raw["B"]),
+                                 tuple(map(int_from_json, inst_raw["A"])))
         graph = graph_from_obj(obj["graph"])
         points = points_from_obj(obj["points"])
-        groups = tuple(tuple(int(i) for i in grp) for grp in obj["groups"])
-        return GadgetInstance(inst, graph, points, groups, int(obj["b"]), int(obj["t"]))
+        groups = tuple(tuple(map(int_from_json, grp)) for grp in obj["groups"])
+        return GadgetInstance(inst, graph, points, groups,
+                              int_from_json(obj["b"]), int_from_json(obj["t"]))
     except FormatError:
         raise
     except (KeyError, TypeError, ValueError, UpseError) as exc:

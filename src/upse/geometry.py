@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from math import gcd, inf
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotConvex, NotGeneralPosition
 
@@ -235,17 +235,25 @@ def is_general_position(S: PointSet) -> bool:
         return S._general
     pts, order = S.points, _by_y(S)
     S._general = all(pts[i].y != pts[j].y for i, j in zip(order, order[1:])) \
-        and (_convex_including_small(S) or _no_collinear_triple(S))
+        and (_convex_including_small(S) or _no_collinear_triple(_homogeneous(S)))
     return S._general
 
 
-def _no_collinear_triple(S: PointSet) -> bool:
-    # a repeated direction around a common point means a collinear triple;
-    # (q - p) * W_p * W_q, reduced by its gcd, with dy > 0 since the ys differ
-    h = _homogeneous(S)
-    for i, (px, py, pw) in enumerate(h):
+def _no_collinear_triple(h: Sequence[Hom], first: int = 0) -> bool:
+    """No collinear triple among the points h with a point at index >= first:
+    the points before first are taken to be free of one.
+
+    A repeated direction around a common point means a collinear triple, so
+    each fresh point i compares its directions to every point before first
+    and every point after i; a triple is caught at its lowest fresh point.
+    A direction is (q - p) * W_p * W_q reduced by its gcd, signed so that
+    dy > 0, which holds when the ys differ.
+    """
+    base = h[:first]
+    for i in range(first, len(h)):
+        px, py, pw = h[i]
         directions = set()
-        for qx, qy, qw in h[i + 1:]:
+        for qx, qy, qw in base + h[i + 1:]:
             dx = qx * pw - px * qw
             dy = qy * pw - py * qw
             g = gcd(dx, dy) if dy > 0 else -gcd(dx, dy)

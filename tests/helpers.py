@@ -9,8 +9,9 @@ from fractions import Fraction
 import networkx as nx
 
 from upse import (Digraph, Mapping, Point, PointSet, SideSplit, Violation,
-                  ViolationKind, convex_hull, point_right_of_line,
-                  segments_cross, verify_upse)
+                  ViolationKind, convex_hull, gadget_base_points,
+                  is_general_position, point_right_of_line, pt, segments_cross,
+                  verify_upse)
 
 
 def circle_point(s: Fraction, left: bool = False) -> Point:
@@ -44,7 +45,6 @@ def random_convex(rng, n: int, sidedness: str = "mixed") -> PointSet:
 
 def random_general(rng, n: int, span: int = 60) -> PointSet:
     """n integer points in general position (distinct y, no collinear triple)."""
-    from upse import is_general_position
     while True:
         raw = set()
         while len(raw) < n:
@@ -378,6 +378,29 @@ def slope_general_position(points: list[Point]) -> bool:
                 return False
             slopes.add(key)
     return True
+
+
+def whole_set_gadget_points(B: int, m: int):
+    """The points, groups, b index and t index of gen_gadget for bound B and
+    m groups, with each slide attempt accepted by one general-position test
+    of the whole set placed so far: the slide loop gen_gadget ran before it
+    tested a slid group through its own points only."""
+    base_groups, base_b, top = gadget_base_points(B, m)
+    placed = [top]
+    shifted = []
+    for grp in reversed(base_groups):
+        v = 0
+        while not is_general_position(PointSet(placed + [pt(p.x, p.y - v) for p in grp])):
+            v += 1
+        shifted.append([pt(p.x, p.y - v) for p in grp])
+        placed += shifted[-1]
+    shifted.reverse()
+    q = top.y - min(p.y for p in placed) + 1
+    convex_floor = (m * m * (B + 2) ** 2 - (B + 1) ** 2 - 2) // 3 + 1
+    b = Point(max(base_b.x, convex_floor) + Fraction(1, q), base_b.y)
+    points = [p for grp in shifted for p in grp] + [b, top]
+    groups = tuple(tuple(range(g * (B + 1), (g + 1) * (B + 1))) for g in range(m))
+    return tuple(points), groups, len(points) - 2, len(points) - 1
 
 
 def side_test_split(S: PointSet) -> SideSplit:

@@ -15,7 +15,8 @@ import time
 import pytest
 
 import upse
-from upse import Digraph, Mapping, PointSet, embed_switch_tree, verify_upse
+from upse import (Digraph, FormatError, Mapping, PartitionInstance, PointSet,
+                  embed_switch_tree, verify_upse)
 from upse.cli import main
 from upse.fileio import (graph_to_obj, mapping_to_obj, points_from_obj,
                          points_to_obj, read_gadget, read_graph, read_points)
@@ -251,6 +252,19 @@ class TestGenerate:
         g = read_gadget(str(out))
         assert len(g.points) == 28  # m(B+1) + 2 for m=2, B=12
         assert g.graph.n == 28
+
+    def test_gadget_bundle_round_trips_integer_items(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert main(["generate", "gadget", "--bound", "3",
+                     "--items", "1,1,1,1,1,1", "--out", str(out)]) == 0
+        raw = json.loads(out.read_text())
+        assert raw["instance"] == {"B": 3, "A": [1] * 6}
+        assert all(type(v) is int for v in [raw["instance"]["B"], *raw["instance"]["A"]])
+        assert read_gadget(str(out)).instance == PartitionInstance(3, (1,) * 6)
+        raw["instance"]["A"] = [True] * 6
+        out.write_text(json.dumps(raw))
+        with pytest.raises(FormatError):
+            read_gadget(str(out))
 
     def test_gadget_rejects_malformed_items(self, tmp_path, capsys):
         out = tmp_path / "g.json"

@@ -1,17 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from upse import (BadN, BadParameters, ExtractionFailed, InvalidInstance,
                   InvalidSolution, Mapping, NotAValidUPSE, PartitionInstance,
-                  PartitionSolution, cross, decide_upse, embedding_to_solution,
+                  PartitionSolution, Point, PointSet, PropertyCheckFailed,
+                  cross, decide_upse, embedding_to_solution,
                   gadget_base_points, gen_binucci_pointset, gen_binucci_tree,
                   gen_gadget, gen_kswitch_tree, is_convex_position,
                   is_general_position, is_switch_tree,
                   longest_directed_path_length, pt, solution_to_embedding,
                   sources_and_sinks, underlying_is_tree, verify_upse)
+from upse.constructions import _check_gadget_points, _extends_general_position
+from upse.geometry import _hom
 
-from helpers import jarvis_hull
+from helpers import jarvis_hull, slope_general_position, whole_set_gadget_points
 
 
 class TestBinucciTree:
@@ -124,6 +129,15 @@ class TestPartitionInstance:
             PartitionInstance(0, (1, 1, 1))
         with pytest.raises(InvalidInstance):
             PartitionInstance(12, (4, 4, "4"))
+
+    def test_rejects_booleans(self):
+        # True is an int to isinstance, and equal to 1
+        with pytest.raises(InvalidInstance, match="items must be positive integers"):
+            PartitionInstance(3, (True,) * 6)
+        with pytest.raises(InvalidInstance, match="items must be positive integers"):
+            PartitionInstance(3, (1, 1, True, 1, 1, 1))
+        with pytest.raises(InvalidInstance, match="B must be a positive integer"):
+            PartitionInstance(True, (1, 1, 1))
 
 
 class TestPartitionSolution:
@@ -327,3 +341,145 @@ class TestReductionDirections:
             assert ti != g.t_index  # t was drawn away from the apex
         else:
             sol.check_against(g.instance)
+
+
+def three_partition_items(B: int, m: int):
+    """One item tuple of a valid instance with bound B and 3m items, or None."""
+    for a in range(B // 4 + 1, B):  # 4a > B
+        for b in range(a, B - a):
+            c = B - a - b
+            if c < b:
+                break
+            if 2 * c < B:
+                return (a, b, c) * m
+    return None
+
+
+class TestGadgetAgainstWholeSetSlides:
+    """gen_gadget against the slide loop that ran one general-position test of
+    the whole placed set per attempt. The points depend on (B, m) alone, so
+    one item tuple per shape is enough."""
+
+    @staticmethod
+    def same_as_oracle(B: int, m: int) -> int:
+        """Assert that gen_gadget matches the oracle; return how many groups slid."""
+        g = gen_gadget(PartitionInstance(B, three_partition_items(B, m)))
+        assert (g.points.points, g.groups, g.b_index, g.t_index) == \
+            whole_set_gadget_points(B, m), (B, m)
+        base, _, _ = gadget_base_points(B, m)
+        return sum(g.points[grp[0]] != raw[0] for grp, raw in zip(g.groups, base))
+
+    def test_every_shape_up_to_b40_m4(self):
+        shapes = [(B, m) for B in range(3, 41) for m in range(1, 5)
+                  if three_partition_items(B, m)]
+        assert len(shapes) == 140  # B = 4, 5 and 8 have no valid instance
+        slid = sum(self.same_as_oracle(B, m) for B, m in shapes)
+        assert slid == 67
+
+    def test_810_points(self):
+        self.same_as_oracle(100, 8)
+
+
+coords = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 4))
+points = st.builds(Point, coords, coords)
+
+
+def on_line(a: Point, b: Point, t: Fraction) -> Point:
+    return Point(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
+@st.composite
+def base_and_fresh(draw):
+    """A general-position base and fresh points, perhaps forced into a
+    collinear triple with one, two or three fresh points, or onto a y that
+    a base or another fresh point holds."""
+    base: list[Point] = []
+    for p in draw(st.lists(points, min_size=2, max_size=8)):
+        if slope_general_position(base + [p]):
+            base.append(p)
+    fresh = [p for p in dict.fromkeys(draw(st.lists(points, min_size=2, max_size=4)))
+             if p not in base]
+    defect = draw(st.sampled_from(("one", "two", "three", "base_y", "fresh_y", "none")))
+    t = draw(st.sampled_from((Fraction(-1), Fraction(1, 3), Fraction(3, 2), Fraction(5))))
+    x = draw(coords)
+    extra = None
+    if defect == "one" and len(base) >= 2:
+        extra = on_line(base[0], base[-1], t)
+    elif defect == "two" and fresh:
+        extra = on_line(draw(st.sampled_from(base)), fresh[0], t)
+    elif defect == "three" and len(fresh) >= 2:
+        extra = on_line(fresh[0], fresh[1], t)
+    elif defect == "base_y":
+        extra = Point(x, draw(st.sampled_from(base)).y)
+    elif defect == "fresh_y" and fresh:
+        extra = Point(x, fresh[0].y)
+    if extra is None or extra in base or extra in fresh:
+        defect = "none"
+    else:
+        fresh.append(extra)
+    return base, draw(st.permutations(fresh)), defect
+
+
+class TestFreshPointTest:
+    @settings(max_examples=300, deadline=None)
+    @given(base_and_fresh())
+    def test_matches_the_whole_set_test(self, case):
+        base, fresh, defect = case
+        event(defect)
+        got = _extends_general_position([_hom(p) for p in base], {p.y for p in base}, fresh)
+        whole = base + fresh
+        assert got == is_general_position(PointSet(whole)) == slope_general_position(whole)
+        if defect != "none":
+            assert not got
+
+    def test_integer_and_rational_cases(self):
+        base = [pt(0, 0), pt(1, 2), pt(Fraction(5, 2), Fraction(1, 3))]
+        fits = lambda fresh: _extends_general_position(
+            [_hom(p) for p in base], {p.y for p in base}, fresh)
+        assert fits([pt(Fraction(-1, 2), -3), pt(7, 5)])
+        assert not fits([pt(2, 4)])                          # one fresh: 0, 1, new
+        assert not fits([pt(-1, 3), pt(-2, 6)])              # two fresh with 0
+        assert not fits([pt(3, 7), pt(4, 9), pt(5, 11)])     # three fresh
+        assert not fits([pt(9, 2)])                          # a base y
+        assert not fits([pt(9, 5), pt(-9, 5)])               # two fresh ys
+
+
+B3 = Fraction(3501, 125)  # the x of b in the B = 3, m = 2 gadget
+
+
+class TestGadgetPropertyFailures:
+    """Every PropertyCheckFailed of _check_gadget_points, each reached first
+    by a doctored copy of the B = 3 gadget with m groups. A subset of a
+    general-position set is in general position, so no group or tops test
+    can fail on general position once the whole-set test has passed."""
+
+    @pytest.mark.parametrize("m, moves, message", [
+        # a point of C_1 onto the line through its two lower neighbours
+        (2, {2: pt(-8, -18)}, "gadget points not in general position"),
+        (2, {2: pt(-8, 1)}, "gadget points not in general position"),  # C_2's lowest y
+        (2, {8: pt(B3, -20)}, "extremes are not extremal"),  # b above C_1's bottom
+        (2, {9: pt(0, 10)}, "extremes are not extremal"),    # t below C_2's top
+        # a point of C_1 into the hull of its neighbours
+        (2, {1: pt(Fraction(-13, 2), -21)},
+         "C_1 with extremes: point set is not in convex position"),
+        # the top of C_2 across the line from b to t
+        (2, {7: pt(40, 16)}, "C_2 with extremes is not left-heavy"),
+        (2, {3: pt(-9, 2)}, "C_2 is not entirely above C_1"),  # the top of C_1 up
+        # a point of C_1 above its top, across l_1
+        (2, {2: pt(Fraction(-19, 2), -5)}, "point 2 of C_1 is not left of line l_1"),
+        # all of C_2 20 to the left, across l_1
+        (2, {4: pt(-21, 1), 5: pt(-22, 4), 6: pt(-23, 9), 7: pt(-24, 16)},
+         "point 4 of C_2 is not right of line l_1"),
+        (2, {9: pt(30, 100)}, "point 6 of C_2 is not right of line f_1"),  # t right
+        # the top of C_3 to the left of the line through the other two tops
+        (3, {11: pt(-7, 40)}, "group tops are not a left-heavy set"),
+        (4, {15: pt(-6, 44)}, "group tops: point set is not in convex position"),
+    ])
+    def test_first_failed_check(self, m, moves, message):
+        g = gen_gadget(PartitionInstance(3, (1,) * (3 * m)))
+        pts = list(g.points)
+        for k, p in moves.items():
+            pts[k] = p
+        with pytest.raises(PropertyCheckFailed) as exc:
+            _check_gadget_points(PointSet(pts), g.groups, g.b_index, g.t_index)
+        assert str(exc.value) == message

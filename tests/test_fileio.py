@@ -187,6 +187,11 @@ class TestGadgetBundles:
         lambda o: o["instance"].pop("B"),
         lambda o: o.update(b="zero"),
         lambda o: o["instance"].update(A=["x"] * 6),
+        lambda o: o["instance"].update(A=[True] * 6),  # int() reads true as 1
+        lambda o: o["instance"].update(B=True),
+        lambda o: o.update(b=True),
+        lambda o: o["instance"].update(A=[1.5] * 6),  # int() reads 1.5 as 1
+        lambda o: o["groups"][0].__setitem__(0, 0.5),
     ])
     def test_rejects_malformed(self, mutate):
         obj = gadget_to_obj(gen_gadget(PartitionInstance(3, (1,) * 6)))
