@@ -142,9 +142,12 @@ def _sweep_crossings(S: PointSet, points: tuple[int, ...],
     Each point removes the segments that end there and inserts, sorted by
     direction, those that start there; segments that become neighbours are
     tested, and a proper crossing becomes an event at its exact homogeneous
-    point, where the two swap. Raises _Degenerate on two vertices at one
-    point, a horizontal segment, a point inside a segment, neighbours that
-    touch or overlap, or three segments through one crossing.
+    point, where the two swap. Each segment's line is computed once, as
+    geo._wedge of its lower and upper end, so a side test is the sign of one
+    3-term dot product, which equals the orientation determinant exactly.
+    Raises _Degenerate on two vertices at one point, a horizontal segment, a
+    point inside a segment, neighbours that touch or overlap, or three
+    segments through one crossing.
     """
     pts, H = S.points, geo._homogeneous(S)
     starts: dict[int, list[int]] = {p: [] for p in points}
@@ -161,9 +164,13 @@ def _sweep_crossings(S: PointSet, points: tuple[int, ...],
         upper.append(q)
         starts[p].append(i)
 
+    lines = [geo._wedge(H[p], H[q]) for p, q in zip(lower, upper)]
+
     def side(i: int, r: geo.Hom) -> int:
         # -1 when segment i passes left of r, 0 through it, 1 right of it
-        return geo._orient(H[lower[i]], H[upper[i]], r)
+        (lx, ly, lw), (x, y, w) = lines[i], r
+        d = lx * x + ly * y + lw * w
+        return (d > 0) - (d < 0)
 
     def by_direction(i: int, j: int) -> int:
         # two segments leaving one point, left to right above it

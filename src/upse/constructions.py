@@ -160,12 +160,12 @@ def _sidedness_or_fail(sub: PointSet, what: str) -> Sidedness:
 
 
 def _extends_general_position(placed_h: list[geo.Hom], placed_y: set,
-                              cand: list[Point]) -> bool:
+                              cand: list[tuple]) -> bool:
     """Whether the general-position points with homogeneous coordinates
-    placed_h and ys placed_y stay in general position with cand added: no y
-    of cand repeats a placed y or another y of cand, and no triple through a
-    point of cand is collinear."""
-    ys = {p.y for p in cand}
+    placed_h and ys placed_y stay in general position with the (x, y) pairs
+    of ints or Fractions cand added: no y of cand repeats a placed y or
+    another y of cand, and no triple through a point of cand is collinear."""
+    ys = {y for _, y in cand}
     return len(ys) == len(cand) and ys.isdisjoint(placed_y) and \
         geo._no_collinear_triple(placed_h + [geo._hom(p) for p in cand], len(placed_h))
 
@@ -178,8 +178,8 @@ def _check_gadget_points(points: PointSet, groups, b_index: int, t_index: int) -
     m = len(groups)
     if not geo.is_general_position(points):
         raise PropertyCheckFailed("gadget points not in general position")
-    if any(p.y <= b.y for i, p in enumerate(points) if i != b_index) \
-            or any(p.y >= t.y for i, p in enumerate(points) if i != t_index):
+    order = geo._by_y(points)  # the ys are distinct now, so b and t must end it
+    if order[0] != b_index or order[-1] != t_index:
         raise PropertyCheckFailed("extremes are not extremal")
     for gi, grp in enumerate(groups, 1):
         sub = PointSet([points[i] for i in grp] + [b, t])
@@ -191,22 +191,25 @@ def _check_gadget_points(points: PointSet, groups, b_index: int, t_index: int) -
         if not hi_low > lo_high:
             raise PropertyCheckFailed(f"C_{gi + 2} is not entirely above C_{gi + 1}")
     # b and t are extremal: l_i runs up from b to the top of C_i, f_i up from
-    # that top to t, and a point is left of a line when it turns counterclockwise
+    # that top to t, and a point is left of a line when it turns
+    # counterclockwise, that is when its dot product with geo._wedge of the
+    # line's two points is positive
     for gi, grp in enumerate(groups, 1):
         top = h[grp[-1]]
+        (lx, ly, lw), (fx, fy, fw) = geo._wedge(hb, top), geo._wedge(top, ht)
         for gj, other in enumerate(groups, 1):
             for idx in other:
                 if idx == grp[-1]:
                     continue
-                p = h[idx]
-                side = geo._orient(hb, top, p)
+                x, y, w = h[idx]
+                side = lx * x + ly * y + lw * w
                 if gj <= gi and side <= 0:
                     raise PropertyCheckFailed(
                         f"point {idx} of C_{gj} is not left of line l_{gi}")
                 if gj > gi and side >= 0:
                     raise PropertyCheckFailed(
                         f"point {idx} of C_{gj} is not right of line l_{gi}")
-                if gj >= gi and geo._orient(top, ht, p) >= 0:
+                if gj >= gi and fx * x + fy * y + fw * w >= 0:
                     raise PropertyCheckFailed(
                         f"point {idx} of C_{gj} is not right of line f_{gi}")
     if m >= 2:
@@ -258,8 +261,10 @@ def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
       is untouched. The points above are in general position already, so an
       attempt is tested only through the group's own points: their ys against
       a set of the ys placed, and their directions to every placed point and
-      to each other, on homogeneous integers kept across groups. A group of
-      B+1 points below p placed points costs O(B(p+B)) per attempt;
+      to each other, on homogeneous integers kept across groups. The base
+      layout is integral, so an attempt slides plain ints (x, y) and tests
+      them as (x, y, 1); a group becomes Points only once it is accepted. A
+      group of B+1 points below p placed points costs O(B(p+B)) per attempt;
     - b keeps its y but its x gains 1/Q for Q = y(t) - min y + 1. Any line
       through two of the integer points meets b's horizontal at an x whose
       reduced denominator divides some y-difference, hence is < Q; an x with
@@ -274,9 +279,10 @@ def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
       lines, so the other checked properties are unaffected.
 
     The five structural properties are re-verified on the final coordinates,
-    with one whole-set general-position test and the separating lines tested
-    on the set's cached homogeneous integers; a failure raises
-    PropertyCheckFailed and means the generator is wrong.
+    with one whole-set general-position test and the separating lines, each
+    computed once by geo._wedge, tested on the set's cached homogeneous
+    integers; a failure raises PropertyCheckFailed and means the generator
+    is wrong.
     """
     B, m = inst.B, inst.m
 
@@ -293,27 +299,29 @@ def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
     base_groups, base_b, top = gadget_base_points(B, m)
 
     # the placed points stay in general position, so a slid group can only
-    # fail the test through a y or a triple that holds one of its own points
+    # fail the test through a y or a triple that holds one of its own points;
+    # the base layout is integral, so the slides run on ints
     placed_h: list[geo.Hom] = [geo._hom(top)]
-    placed_y = {top.y}
-    lowest = top.y
+    placed_y = {int(top.y)}
+    lowest = int(top.y)
     shifted: list[list[Point]] = []
     for grp in reversed(base_groups):  # top group first, sliding only downward
+        xy = [(int(p.x), int(p.y)) for p in grp]
         v = 0
         while True:
-            cand = [Point(p.x, p.y - v) for p in grp]
-            if max(p.y for p in cand) >= lowest:
+            cand = [(x, y - v) for x, y in xy]
+            if max(y for _, y in cand) >= lowest:
                 raise PropertyCheckFailed("group slide collapsed the band gap")
             if _extends_general_position(placed_h, placed_y, cand):
                 break
             v += 1
-        shifted.append(cand)
+        shifted.append([Point(p.x, p.y - v) for p in grp])
         placed_h += map(geo._hom, cand)
-        placed_y.update(p.y for p in cand)
-        lowest = min(p.y for p in cand)
+        placed_y.update(y for _, y in cand)
+        lowest = min(y for _, y in cand)
     shifted.reverse()
 
-    q = top.y - lowest + 1
+    q = int(top.y) - lowest + 1
     convex_floor = (m * m * (B + 2) ** 2 - (B + 1) ** 2 - 2) // 3 + 1
     b = Point(max(base_b.x, convex_floor) + Fraction(1, q), base_b.y)
 

@@ -1,4 +1,5 @@
-"""Exact rational plane geometry, with no floating point anywhere.
+"""Exact rational plane geometry: floats only rule cases out, and exact
+integers decide every tie.
 
 Points have ``fractions.Fraction`` coordinates. Every predicate is one exact
 integer sign test: a point becomes homogeneous integers (X, Y, W), x = X/W and
@@ -14,9 +15,11 @@ embedding algorithms ask the same questions repeatedly:
 - general position: distinct y by adjacent pairs of the order; then, when the
   strict hull holds every point, no three can be collinear (the middle point
   of a collinear triple is never a strict hull vertex), so a convex set costs
-  O(n log n); any other set keeps the O(n^2) test on reduced integer
-  directions;
-- the homogeneous coordinates of every point.
+  O(n log n); any other set keeps the O(n^2) test on directions, keyed by
+  correctly rounded floats that only rule ties out and by reduced integer
+  directions wherever the floats tie;
+- the homogeneous coordinates of every point, built once by the constructor,
+  which tests distinctness on them.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ class Sidedness(enum.Enum):
 
 
 def _hom(p: Point) -> Hom:
-    """Homogeneous integer coordinates (X, Y, W) of p, with W > 0."""
+    """Homogeneous integer coordinates (X, Y, W) of p, with W > 0; p may be
+    any (x, y) pair of ints or Fractions."""
     x, y = p
     xd, yd = x.denominator, y.denominator
     return (x.numerator * yd, y.numerator * xd, xd * yd)
@@ -149,13 +153,16 @@ class PointSet:
         pts = tuple(points)
         if not pts:
             raise ValueError("point set must be non-empty")
-        if len(set(pts)) != len(pts):
+        # _hom is injective, and a tuple of ints hashes far faster than a
+        # Fraction, which takes a modular inverse
+        h = tuple(map(_hom, pts))
+        if len(set(h)) != len(h):
             raise ValueError("points must be pairwise distinct")
         self.points: tuple[Point, ...] = pts
+        self._hom: tuple[Hom, ...] = h
         self._by_y: tuple[int, ...] | None = None
         self._hull: tuple[int, ...] | None = None
         self._general: bool | None = None
-        self._hom: tuple[Hom, ...] | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -175,8 +182,6 @@ class PointSet:
 
 def _homogeneous(S: PointSet) -> tuple[Hom, ...]:
     """The homogeneous integer coordinates of every point, by index."""
-    if S._hom is None:
-        S._hom = tuple(map(_hom, S.points))
     return S._hom
 
 
@@ -246,21 +251,39 @@ def _no_collinear_triple(h: Sequence[Hom], first: int = 0) -> bool:
     A repeated direction around a common point means a collinear triple, so
     each fresh point i compares its directions to every point before first
     and every point after i; a triple is caught at its lowest fresh point.
-    A direction is (q - p) * W_p * W_q reduced by its gcd, signed so that
-    dy > 0, which holds when the ys differ.
+    A direction (dx, dy) = (q - p) * W_p * W_q is keyed first by the float
+    dx / dy, which int division rounds correctly: equal ratios give equal
+    floats, so distinct floats rule every triple through i out. Only when a
+    float repeats, or dy == 0, or the ratio is beyond float range, do the
+    exact reduced directions of _distinct_directions decide point i.
     """
     base = h[:first]
     for i in range(first, len(h)):
         px, py, pw = h[i]
-        directions = set()
-        for qx, qy, qw in base + h[i + 1:]:
-            dx = qx * pw - px * qw
-            dy = qy * pw - py * qw
-            g = gcd(dx, dy) if dy > 0 else -gcd(dx, dy)
-            key = (dx // g, dy // g)
-            if key in directions:
-                return False
-            directions.add(key)
+        others = base + h[i + 1:]
+        try:
+            keys = {(qx * pw - px * qw) / (qy * pw - py * qw) for qx, qy, qw in others}
+        except (ZeroDivisionError, OverflowError):
+            keys = ()
+        if len(keys) < len(others) and not _distinct_directions(h[i], others):
+            return False
+    return True
+
+
+def _distinct_directions(p: Hom, others: Sequence[Hom]) -> bool:
+    """Whether the directions from p to the points others are pairwise
+    distinct, exactly: each is (q - p) * W_p * W_q reduced by its gcd and
+    signed so that dy > 0, or dy == 0 and dx > 0."""
+    px, py, pw = p
+    directions = set()
+    for qx, qy, qw in others:
+        dx = qx * pw - px * qw
+        dy = qy * pw - py * qw
+        g = gcd(dx, dy) if dy > 0 or dy == 0 and dx > 0 else -gcd(dx, dy)
+        key = (dx // g, dy // g)
+        if key in directions:
+            return False
+        directions.add(key)
     return True
 
 

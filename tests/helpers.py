@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import networkx as nx
 
@@ -377,6 +378,27 @@ def slope_general_position(points: list[Point]) -> bool:
             if key in slopes:
                 return False
             slopes.add(key)
+    return True
+
+
+def gcd_no_collinear_triple(h, first: int = 0) -> bool:
+    """geometry._no_collinear_triple without its float filter: every
+    direction from each fresh point i to the points before first and after i
+    keyed by its exact reduced integer direction, the test the package ran
+    before it keyed directions by floats. The sign rule normalises (dx, dy)
+    and (-dx, -dy) to one key, horizontal directions included."""
+    base = list(h[:first])
+    for i in range(first, len(h)):
+        px, py, pw = h[i]
+        directions = set()
+        for qx, qy, qw in base + list(h[i + 1:]):
+            dx = qx * pw - px * qw
+            dy = qy * pw - py * qw
+            g = gcd(dx, dy) if dy > 0 or dy == 0 and dx > 0 else -gcd(dx, dy)
+            key = (dx // g, dy // g)
+            if key in directions:
+                return False
+            directions.add(key)
     return True
 
 

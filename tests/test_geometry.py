@@ -1,9 +1,10 @@
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from upse import (NotConvex, NotGeneralPosition, Orientation, Point, PointSet,
@@ -11,12 +12,13 @@ from upse import (NotConvex, NotGeneralPosition, Orientation, Point, PointSet,
                   is_consecutive, is_convex_position, is_general_position,
                   is_one_sided, orientation, point_left_of_line,
                   point_right_of_line, pt, segments_cross)
+from upse import geometry as geo
 from upse.geometry import _by_y
 
 from helpers import (circle_point, frac_cross, frac_segments_cross,
-                     frac_side_of_line, jarvis_hull, naive_depth, random_convex,
-                     random_general, side_test_split, slope_general_position,
-                     xsort_hull)
+                     frac_side_of_line, gcd_no_collinear_triple, jarvis_hull,
+                     naive_depth, random_convex, random_general,
+                     side_test_split, slope_general_position, xsort_hull)
 
 
 def square(side=2):
@@ -25,12 +27,13 @@ def square(side=2):
 
 class TestPointSet:
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^point set must be non-empty$"):
             PointSet([])
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            PointSet([pt(1, 1), pt(1, 1)])
+        for pts in ([pt(1, 1), pt(1, 1)], [pt(0, 3), pt("1/2", 1), pt(Fraction(2, 4), 1)]):
+            with pytest.raises(ValueError, match="^points must be pairwise distinct$"):
+                PointSet(pts)
 
     def test_indexing_and_len(self):
         S = square()
@@ -413,3 +416,95 @@ class TestKernelAgainstFractionOracles:
     def test_general_position_matches_slopes(self, pts):
         assert is_general_position(PointSet(pts)) == slope_general_position(pts)
 
+
+# Point lists for the float filter of _no_collinear_triple, each with a first
+# fresh index p0 that sees a witness: a collinear triple, two directions
+# whose ratios differ but round to one double ((2^53 + 1) / 2^53 against 1),
+# a ratio beyond float range, or a horizontal direction. Any uniform scaling
+# and shift keeps every ratio dx / dy, so the witness survives on rational
+# and huge coordinates.
+WITNESSES = {
+    "collinear": ((3, 5), (-6, -10)),
+    "float_tie": ((2 ** 53 + 1, 2 ** 53), (1, 1)),
+    "beyond_float": ((10 ** 400, 1), (1, 2)),
+    "horizontal": ((1, 0), (-3, 1)),
+    "none": ((1, 3), (2, 5)),
+}
+
+
+@st.composite
+def fresh_point_cases(draw):
+    kind = draw(st.sampled_from(sorted(WITNESSES)))
+    u, v = WITNESSES[kind]
+    scale = draw(st.sampled_from((1, -1, Fraction(7, 3), 10 ** 400, TINY)))
+    shift = draw(st.sampled_from((0, Fraction(1, 3), 10 ** 30)))
+    origin, u, v = (Point(x * scale + shift, y * scale + shift)
+                    for x, y in ((0, 0), u, v))
+    rest = [p for p in dict.fromkeys(draw(st.lists(
+        st.one_of(mixed_points, grid_points, extreme_points), max_size=6)))
+        if p not in (origin, u, v)]
+    base = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    after = draw(st.permutations([u, v] + [p for p in rest if p not in base]))
+    return kind, base + [origin] + after, len(base)
+
+
+class TestFloatFilteredDirections:
+    """_no_collinear_triple keys directions by floats and falls back to
+    exact reduced directions where they may tie; the gcd-keyed test of
+    helpers is the oracle."""
+
+    def test_horizontal_directions_share_a_key(self):
+        assert not geo._no_collinear_triple([(0, 0, 1), (-1, 0, 1), (1, 0, 1)])
+        assert not geo._no_collinear_triple([(2, 3, 1), (-4, 3, 1), (5, 6, 2)])
+        assert geo._no_collinear_triple([(0, 0, 1), (-1, 0, 1), (1, 1, 1)])
+        assert not geo._distinct_directions((0, 0, 1), [(-1, 0, 1), (1, 0, 1)])
+
+    @pytest.mark.parametrize("kind, first", [(k, f) for k in WITNESSES for f in (0, 2)])
+    def test_each_witness_reaches_the_exact_keys(self, kind, first):
+        u, v = WITNESSES[kind]
+        h = [(*u, 1), (*v, 1)]
+        h = h[:first] + [(0, 0, 1)] + h[first:]  # the origin is the first fresh point
+        with mock.patch.object(geo, "_distinct_directions",
+                               wraps=geo._distinct_directions) as exact:
+            got = geo._no_collinear_triple(h, first)
+        assert got == gcd_no_collinear_triple(h, first) == (kind != "collinear")
+        assert bool(exact.call_count) == (kind != "none")
+
+    @settings(max_examples=300, deadline=None)
+    @given(fresh_point_cases(), st.data())
+    def test_matches_the_gcd_keyed_test(self, case, data):
+        kind, pts, p0 = case
+        first = data.draw(st.integers(0, p0))
+        h = [geo._hom(p) for p in pts]
+        with mock.patch.object(geo, "_distinct_directions",
+                               wraps=geo._distinct_directions) as exact:
+            got = geo._no_collinear_triple(h, first)
+        event(f"{kind}: {'exact keys' if exact.call_count else 'floats alone'}")
+        assert got == gcd_no_collinear_triple(h, first)
+        # a collinear triple can only be found by the exact keys, and every
+        # witness is seen from the lowest fresh point
+        assert got or exact.call_count
+        if kind != "none":
+            assert exact.call_count
+        if kind == "collinear":
+            assert not got
+        if first == 0:
+            distinct_y = len({p.y for p in pts}) == len(pts)
+            assert is_general_position(PointSet(pts)) == (distinct_y and got) \
+                == slope_general_position(pts)
+
+
+coordinate = st.one_of(st.integers(-50, 50), st.sampled_from((10 ** 400, -10 ** 400)))
+homogeneous = st.tuples(coordinate, coordinate, st.one_of(st.integers(1, 60), st.just(10 ** 400)))
+
+
+class TestLineIdentity:
+    @settings(max_examples=300, deadline=None)
+    @given(homogeneous, homogeneous, homogeneous, st.booleans())
+    def test_wedge_dot_is_the_orientation(self, a, b, p, equal_w):
+        if equal_w:
+            b, p = (*b[:2], a[2]), (*p[:2], a[2])
+        lx, ly, lw = geo._wedge(a, b)
+        dot = lx * p[0] + ly * p[1] + lw * p[2]
+        assert dot == geo._det(a, b, p)
+        assert (dot > 0) - (dot < 0) == geo._orient(a, b, p)
