@@ -101,8 +101,10 @@ def verify_upse(G: Digraph, S: PointSet, m: Mapping) -> list[Violation]:
         else:
             seen[p] = v
 
+    H = S._hom
     for a, (t, h) in enumerate(G.arcs):
-        if not S[m[h]].y > S[m[t]].y:
+        (_, yt, wt), (_, yh, wh) = H[m[t]], H[m[h]]
+        if not yh * wt > yt * wh:
             out.append(Violation(
                 ViolationKind.ARC_NOT_UPWARD, (a,),
                 f"arc {G.vertices[t]!r}->{G.vertices[h]!r} does not rise"))
@@ -149,7 +151,7 @@ def _sweep_crossings(S: PointSet, points: tuple[int, ...],
     point inside a segment, neighbours that touch or overlap, or three
     segments through one crossing.
     """
-    pts, H = S.points, geo._homogeneous(S)
+    pts, H = S.points, S._hom
     starts: dict[int, list[int]] = {p: [] for p in points}
     if len(starts) < len(points):
         raise _Degenerate
@@ -236,7 +238,7 @@ def _sweep_crossings(S: PointSet, points: tuple[int, ...],
 def _pairwise(S: PointSet, points: tuple[int, ...], segs: list[tuple[int, int]]):
     """The crossing pairs and the (vertex, arc) pairs of a vertex inside an
     arc, by testing every pair: O(m^2 + n m), for drawings the sweep rejects."""
-    H = geo._homogeneous(S)
+    H = S._hom
     crossings, on_arc = [], []
     for i in range(len(segs)):
         pi, qi = segs[i]
@@ -264,8 +266,10 @@ class SolverOptions:
     node_budget: int | None = None
 
     def __post_init__(self):
-        if self.node_budget is not None and self.node_budget < 0:
-            raise ValueError(f"node budget must be non-negative, got {self.node_budget}")
+        # a bool is an int to isinstance, and a fractional budget never runs out
+        b = self.node_budget
+        if b is not None and (not isinstance(b, int) or isinstance(b, bool) or b < 0):
+            raise ValueError(f"node budget must be a non-negative integer, got {b!r}")
 
 
 @dataclass(frozen=True)
@@ -345,7 +349,7 @@ def decide_upse(G: Digraph, S: PointSet,
         return DecideResult("not_embeddable", None, 0)
 
     order = geo._by_y(S)
-    H, left_mask = geo._homogeneous(S), geo._left_mask
+    H, left_mask = S._hom, geo._left_mask
 
     pruner = None
     if opts.use_consecutive_pruning and n >= 3 \

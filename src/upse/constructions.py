@@ -163,8 +163,9 @@ def _extends_general_position(placed_h: list[geo.Hom], placed_y: set,
                               cand: list[tuple]) -> bool:
     """Whether the general-position points with homogeneous coordinates
     placed_h and ys placed_y stay in general position with the (x, y) pairs
-    of ints or Fractions cand added: no y of cand repeats a placed y or
-    another y of cand, and no triple through a point of cand is collinear."""
+    cand added: no y of cand repeats a placed y or another y of cand, and no
+    triple through a point of cand is collinear. gen_gadget passes ints only,
+    so no Fraction is compared; rational pairs give the same answer."""
     ys = {y for _, y in cand}
     return len(ys) == len(cand) and ys.isdisjoint(placed_y) and \
         geo._no_collinear_triple(placed_h + [geo._hom(p) for p in cand], len(placed_h))
@@ -173,22 +174,23 @@ def _extends_general_position(placed_h: list[geo.Hom], placed_y: set,
 def _check_gadget_points(points: PointSet, groups, b_index: int, t_index: int) -> None:
     # the five structural properties; each failure falsifies the coordinate formula
     b, t = points[b_index], points[t_index]
-    h = geo._homogeneous(points)
+    h = points._hom
     hb, ht = h[b_index], h[t_index]
     m = len(groups)
     if not geo.is_general_position(points):
         raise PropertyCheckFailed("gadget points not in general position")
-    order = geo._by_y(points)  # the ys are distinct now, so b and t must end it
+    # the ys are distinct now, so b and t must end the order, and a group is
+    # above another iff its positions in the order are
+    order = geo._by_y(points)
     if order[0] != b_index or order[-1] != t_index:
         raise PropertyCheckFailed("extremes are not extremal")
+    rank = {p: r for r, p in enumerate(order)}
     for gi, grp in enumerate(groups, 1):
         sub = PointSet([points[i] for i in grp] + [b, t])
         if _sidedness_or_fail(sub, f"C_{gi} with extremes") is not Sidedness.LEFT_HEAVY:
             raise PropertyCheckFailed(f"C_{gi} with extremes is not left-heavy")
     for gi in range(m - 1):
-        hi_low = min(points[i].y for i in groups[gi + 1])
-        lo_high = max(points[i].y for i in groups[gi])
-        if not hi_low > lo_high:
+        if not min(rank[i] for i in groups[gi + 1]) > max(rank[i] for i in groups[gi]):
             raise PropertyCheckFailed(f"C_{gi + 2} is not entirely above C_{gi + 1}")
     # b and t are extremal: l_i runs up from b to the top of C_i, f_i up from
     # that top to t, and a point is left of a line when it turns
@@ -218,8 +220,21 @@ def _check_gadget_points(points: PointSet, groups, b_index: int, t_index: int) -
             raise PropertyCheckFailed("group tops are not a left-heavy set")
 
 
+def _gadget_base_layout(B: int, m: int):
+    """gadget_base_points as (x, y) pairs of ints."""
+    groups = []
+    for g in range(1, m + 1):
+        off = (m - g) * (B + 2)
+        groups.append([(-j - off, j * j - off * off) for j in range(1, B + 2)])
+    b = (-(B + 1) ** 2 + ((m - 1) * (B + 2)) ** 2,
+         (B + 1) ** 2 - (m * (B + 2)) ** 2)
+    t = (0, (m * (B + 2)) ** 2)
+    return groups, b, t
+
+
 def gadget_base_points(B: int, m: int):
-    """The raw quadratic layout: m parabolic groups plus the two extremes.
+    """The raw quadratic layout: m parabolic groups plus the two extremes,
+    as Points; gen_gadget reads the same layout as ints.
 
     Returns (groups, b, t) where groups[g-1] lists the B+1 points of C_g in
     ascending y. Group C_{m-i} holds the points (-j - i(B+2), j^2 - (i(B+2))^2)
@@ -233,14 +248,8 @@ def gadget_base_points(B: int, m: int):
     drawing of a solution self-overlapping. gen_gadget starts from this layout
     and clears the degeneracies; on clean inputs it reproduces it unchanged.
     """
-    groups = []
-    for g in range(1, m + 1):
-        off = (m - g) * (B + 2)
-        groups.append([pt(-j - off, j * j - off * off) for j in range(1, B + 2)])
-    b = pt(-(B + 1) ** 2 + ((m - 1) * (B + 2)) ** 2,
-           (B + 1) ** 2 - (m * (B + 2)) ** 2)
-    t = pt(0, (m * (B + 2)) ** 2)
-    return groups, b, t
+    groups, b, t = _gadget_base_layout(B, m)
+    return [[pt(*p) for p in grp] for grp in groups], pt(*b), pt(*t)
 
 
 def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
@@ -263,7 +272,7 @@ def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
       a set of the ys placed, and their directions to every placed point and
       to each other, on homogeneous integers kept across groups. The base
       layout is integral, so an attempt slides plain ints (x, y) and tests
-      them as (x, y, 1); a group becomes Points only once it is accepted. A
+      them as (x, y, 1); each point becomes a Point once, after the slides. A
       group of B+1 points below p placed points costs O(B(p+B)) per attempt;
     - b keeps its y but its x gains 1/Q for Q = y(t) - min y + 1. Any line
       through two of the integer points meets b's horizontal at an x whose
@@ -296,44 +305,36 @@ def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
         arcs += [(f"p{item}_{j}", f"p{item}_{j + 1}") for j in range(1, a)]
     graph = Digraph.from_labels(vertices, arcs)
 
-    base_groups, base_b, top = gadget_base_points(B, m)
+    base_groups, (bx, by), (tx, ty) = _gadget_base_layout(B, m)
 
     # the placed points stay in general position, so a slid group can only
     # fail the test through a y or a triple that holds one of its own points;
     # the base layout is integral, so the slides run on ints
-    placed_h: list[geo.Hom] = [geo._hom(top)]
-    placed_y = {int(top.y)}
-    lowest = int(top.y)
-    shifted: list[list[Point]] = []
+    placed_h: list[geo.Hom] = [(tx, ty, 1)]
+    placed_y = {ty}
+    lowest = ty
+    shifted: list[list[tuple[int, int]]] = []
     for grp in reversed(base_groups):  # top group first, sliding only downward
-        xy = [(int(p.x), int(p.y)) for p in grp]
         v = 0
         while True:
-            cand = [(x, y - v) for x, y in xy]
+            cand = [(x, y - v) for x, y in grp]
             if max(y for _, y in cand) >= lowest:
                 raise PropertyCheckFailed("group slide collapsed the band gap")
             if _extends_general_position(placed_h, placed_y, cand):
                 break
             v += 1
-        shifted.append([Point(p.x, p.y - v) for p in grp])
+        shifted.append(cand)
         placed_h += map(geo._hom, cand)
         placed_y.update(y for _, y in cand)
         lowest = min(y for _, y in cand)
-    shifted.reverse()
 
-    q = int(top.y) - lowest + 1
+    q = ty - lowest + 1
     convex_floor = (m * m * (B + 2) ** 2 - (B + 1) ** 2 - 2) // 3 + 1
-    b = Point(max(base_b.x, convex_floor) + Fraction(1, q), base_b.y)
+    b = Point(Fraction(max(bx, convex_floor) * q + 1, q), Fraction(by))
 
-    points: list[Point] = []
-    groups: list[tuple[int, ...]] = []
-    for grp in shifted:
-        groups.append(tuple(range(len(points), len(points) + B + 1)))
-        points.extend(grp)
-    b_index = len(points)
-    points.append(b)
-    t_index = len(points)
-    points.append(top)
+    points = [pt(x, y) for grp in reversed(shifted) for x, y in grp] + [b, pt(tx, ty)]
+    groups = [tuple(range(g * (B + 1), (g + 1) * (B + 1))) for g in range(m)]
+    b_index, t_index = m * (B + 1), m * (B + 1) + 1
     S = PointSet(points)
 
     assert len(S) == graph.n == m * (B + 1) + 2

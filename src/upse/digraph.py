@@ -10,6 +10,7 @@ of the decision solver.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -27,7 +28,8 @@ class Digraph:
 
     def __init__(self, vertices: Sequence[str], arcs: Iterable[tuple[int, int]]):
         self.vertices: tuple[str, ...] = tuple(vertices)
-        self.arcs: tuple[tuple[int, int], ...] = tuple((int(t), int(h)) for t, h in arcs)
+        self.arcs: tuple[tuple[int, int], ...] = tuple(
+            (_endpoint(t), _endpoint(h)) for t, h in arcs)
         n = len(self.vertices)
         if len(set(self.vertices)) != n:
             raise ValueError("vertex labels must be unique")
@@ -71,6 +73,14 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph({len(self.vertices)} vertices, {len(self.arcs)} arcs)"
+
+
+def _endpoint(v) -> int:
+    # an index, not whatever int() takes: it truncates 0.9, parses "0" and
+    # reads True as 1
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise ValueError(f"arc endpoint {v!r} is not a vertex index")
+    return operator.index(v)
 
 
 def underlying_is_tree(G: Digraph) -> bool:

@@ -45,7 +45,8 @@ class Mapping:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        if any(not isinstance(i, int) or i < 0 for i in self.assignment):
+        # type, not isinstance: a bool is an int to isinstance
+        if any(type(i) is not int or i < 0 for i in self.assignment):
             raise ValueError("point indices must be non-negative integers")
 
     def __getitem__(self, v: int) -> int:
@@ -62,7 +63,7 @@ class Mapping:
         missing = [lab for lab in G.vertices if lab not in d]
         if missing or len(d) != G.n:
             raise ValueError("mapping must assign every vertex exactly once")
-        return cls(tuple(int(d[lab]) for lab in G.vertices))
+        return cls(tuple(d[lab] for lab in G.vertices))
 
 
 def _embed_one_sided_block(tree: dg._Tree, v: int, block: tuple[int, ...],

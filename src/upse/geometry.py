@@ -5,19 +5,23 @@ Points have ``fractions.Fraction`` coordinates. Every predicate is one exact
 integer sign test: a point becomes homogeneous integers (X, Y, W), x = X/W and
 y = Y/W, and an orientation is the sign of one 3x3 integer determinant. Point
 sets are ordered containers of distinct points with cached queries, since the
-embedding algorithms ask the same questions repeatedly:
+embedding algorithms ask the same questions repeatedly. A point set reads its
+Fractions once, when it builds its homogeneous integers; after that only the
+tie-break of its (y, x) order compares them, and every other comparison of
+coordinates, here and in the modules that use a set, reads the integers or
+that cached order:
 
 - one order of the indices by (y, x), sorted once with an exact float filter
   (a correctly rounded float decides unless two floats tie), which every
   caller that needs points in y order reads instead of sorting again;
 - the strict hull, Andrew's monotone chain run along that order: up the right
   chain from the lowest point, then down the left chain;
-- general position: distinct y by adjacent pairs of the order; then, when the
-  strict hull holds every point, no three can be collinear (the middle point
-  of a collinear triple is never a strict hull vertex), so a convex set costs
-  O(n log n); any other set keeps the O(n^2) test on directions, keyed by
-  correctly rounded floats that only rule ties out and by reduced integer
-  directions wherever the floats tie;
+- general position: distinct y by adjacent pairs of the order, as
+  Y_i * W_j != Y_j * W_i; then, when the strict hull holds every point, no
+  three can be collinear (the middle point of a collinear triple is never a
+  strict hull vertex), so a convex set costs O(n log n); any other set keeps
+  the O(n^2) test on directions, keyed by correctly rounded floats that only
+  rule ties out and by reduced integer directions wherever the floats tie;
 - the homogeneous coordinates of every point, built once by the constructor,
   which tests distinctness on them.
 """
@@ -61,7 +65,9 @@ class Sidedness(enum.Enum):
 
 def _hom(p: Point) -> Hom:
     """Homogeneous integer coordinates (X, Y, W) of p, with W > 0; p may be
-    any (x, y) pair of ints or Fractions."""
+    any (x, y) pair of ints or Fractions. PointSet caches it per point, and
+    every comparison of a set's coordinates reads that cache; the predicates
+    on single Points call it directly."""
     x, y = p
     xd, yd = x.denominator, y.denominator
     return (x.numerator * yd, y.numerator * xd, xd * yd)
@@ -155,7 +161,12 @@ class PointSet:
             raise ValueError("point set must be non-empty")
         # _hom is injective, and a tuple of ints hashes far faster than a
         # Fraction, which takes a modular inverse
-        h = tuple(map(_hom, pts))
+        try:
+            h = tuple(map(_hom, pts))
+        except AttributeError:
+            bad = next(p for p in pts if not all(hasattr(c, "denominator") for c in p))
+            raise ValueError(f"point {bad!r} has a non-rational coordinate; "
+                             "build points with pt()") from None
         if len(set(h)) != len(h):
             raise ValueError("points must be pairwise distinct")
         self.points: tuple[Point, ...] = pts
@@ -178,11 +189,6 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet({list(self.points)!r})"
-
-
-def _homogeneous(S: PointSet) -> tuple[Hom, ...]:
-    """The homogeneous integer coordinates of every point, by index."""
-    return S._hom
 
 
 def _approx(q: Fraction) -> float:
@@ -219,7 +225,7 @@ def convex_hull(S: PointSet) -> tuple[int, ...]:
     if len(order) == 1:
         S._hull = order
         return S._hull
-    h = _homogeneous(S)
+    h = S._hom
 
     def chain(seq) -> list[int]:  # one monotone chain, left turns only
         out: list[int] = []
@@ -238,9 +244,10 @@ def is_general_position(S: PointSet) -> bool:
     """No two points share a y-coordinate and no three points are collinear."""
     if S._general is not None:
         return S._general
-    pts, order = S.points, _by_y(S)
-    S._general = all(pts[i].y != pts[j].y for i, j in zip(order, order[1:])) \
-        and (_convex_including_small(S) or _no_collinear_triple(_homogeneous(S)))
+    h, order = S._hom, _by_y(S)
+    S._general = all(h[i][1] * h[j][2] != h[j][1] * h[i][2]
+                     for i, j in zip(order, order[1:])) \
+        and (_convex_including_small(S) or _no_collinear_triple(h))
     return S._general
 
 
@@ -308,10 +315,11 @@ class SideSplit(NamedTuple):
 def _side_of_line(p: Point, a: Point, b: Point) -> int:
     """Horizontal-ray side test against the non-horizontal line through a and b:
     1 when p is right of the line, -1 when left, 0 on it."""
-    if a.y == b.y:
+    ha, hb = _hom(a), _hom(b)
+    rise = hb[1] * ha[2] - ha[1] * hb[2]  # (y(b) - y(a)) * W_a * W_b
+    if not rise:
         raise ValueError("line through a and b must not be horizontal")
-    lo, hi = (a, b) if a.y < b.y else (b, a)
-    return -_orient(_hom(lo), _hom(hi), _hom(p))
+    return -_orient(ha, hb, _hom(p)) if rise > 0 else _orient(ha, hb, _hom(p))
 
 
 def point_right_of_line(p: Point, a: Point, b: Point) -> bool:

@@ -266,7 +266,7 @@ class TestSideMasks:
     @settings(max_examples=60, deadline=None)
     @given(mask_sets())
     def test_masks_agree_with_the_predicates(self, S):
-        n, H = len(S), geometry._homogeneous(S)
+        n, H = len(S), S._hom
         mask = {(a, b): geometry._left_mask(H, a, b)
                 for a, b in itertools.permutations(range(n), 2)}
         for (a, b), ab in mask.items():
@@ -386,6 +386,12 @@ class TestDecide:
         with pytest.raises(ValueError):
             SolverOptions(node_budget=-1)
         assert SolverOptions(node_budget=0).node_budget == 0
+
+    @pytest.mark.parametrize("budget", [2.5, 1.0, True, "10"])
+    def test_non_integer_budget_is_rejected(self, budget):
+        # 2.5 never equals a node count, so it would search with no budget
+        with pytest.raises(ValueError, match="non-negative integer"):
+            SolverOptions(node_budget=budget)
 
     def test_node_counts_are_pinned(self):
         # exact search sizes: a pruning or ordering change that moves them

@@ -366,6 +366,8 @@ class TestGadgetAgainstWholeSetSlides:
         g = gen_gadget(PartitionInstance(B, three_partition_items(B, m)))
         assert (g.points.points, g.groups, g.b_index, g.t_index) == \
             whole_set_gadget_points(B, m), (B, m)
+        # Point equality takes 3 == Fraction(3): an int must not leak out
+        assert all(type(c) is Fraction for p in g.points for c in p), (B, m)
         base, _, _ = gadget_base_points(B, m)
         return sum(g.points[grp[0]] != raw[0] for grp, raw in zip(g.groups, base))
 

@@ -35,6 +35,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             Digraph(["a", "b"], [(0, 1), (0, 1)])
 
+    @pytest.mark.parametrize("arc", [(0.9, 1), ("0", 1), (True, 0), (0, None)])
+    def test_endpoints_must_be_indices(self, arc):
+        # int() would take each of these: 0.9 as 0, "0" as 0, True as 1
+        with pytest.raises(ValueError, match="is not a vertex index"):
+            Digraph(["a", "b"], [arc])
+
     def test_from_labels(self):
         G = Digraph.from_labels(["a", "b", "c"], [("a", "b"), ("c", "b")])
         assert G.arcs == ((0, 1), (2, 1))

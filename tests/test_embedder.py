@@ -30,6 +30,13 @@ class TestMapping:
         assert Mapping.from_labels(G, {"a": 2, "b": 0, "c": 1}) == m
         assert len(m) == 3 and m[1] == 0
 
+    @pytest.mark.parametrize("assignment", [(True, False), (0, 1.0)])
+    def test_rejects_non_index_points(self, assignment):
+        with pytest.raises(ValueError):
+            Mapping(assignment)
+        with pytest.raises(ValueError):  # int() would take both
+            Mapping.from_labels(Digraph(["a", "b"], []), dict(zip("ab", assignment)))
+
     def test_from_labels_rejects_missing_and_extra(self):
         G = Digraph(["a", "b"], [(0, 1)])
         with pytest.raises(ValueError):

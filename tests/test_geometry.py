@@ -1,3 +1,4 @@
+import collections
 import random
 import time
 from fractions import Fraction
@@ -7,18 +8,23 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from upse import (NotConvex, NotGeneralPosition, Orientation, Point, PointSet,
+from upse import (NotConvex, NotGeneralPosition, Orientation,
+                  PartitionInstance, PartitionSolution, Point, PointSet,
                   Sidedness, classify_sides, convex_depth, convex_hull, cross,
+                  decide_upse, embed_switch_tree, embedding_to_solution,
+                  gen_binucci_pointset, gen_binucci_tree, gen_gadget,
                   is_consecutive, is_convex_position, is_general_position,
                   is_one_sided, orientation, point_left_of_line,
-                  point_right_of_line, pt, segments_cross)
+                  point_right_of_line, pt, segments_cross,
+                  solution_to_embedding, verify_upse)
 from upse import geometry as geo
 from upse.geometry import _by_y
 
 from helpers import (circle_point, frac_cross, frac_segments_cross,
                      frac_side_of_line, gcd_no_collinear_triple, jarvis_hull,
                      naive_depth, random_convex, random_general,
-                     side_test_split, slope_general_position, xsort_hull)
+                     random_switch_tree, side_test_split,
+                     slope_general_position, xsort_hull)
 
 
 def square(side=2):
@@ -34,6 +40,12 @@ class TestPointSet:
         for pts in ([pt(1, 1), pt(1, 1)], [pt(0, 3), pt("1/2", 1), pt(Fraction(2, 4), 1)]):
             with pytest.raises(ValueError, match="^points must be pairwise distinct$"):
                 PointSet(pts)
+
+    @pytest.mark.parametrize("bad", [Point(Fraction(1), 1.5), Point("1/2", 0), Point(None, 1)])
+    def test_rejects_non_rational_coordinates(self, bad):
+        with pytest.raises(ValueError, match=r"^point .* has a non-rational coordinate; "
+                                             r"build points with pt\(\)$"):
+            PointSet([pt(0, 0), bad])
 
     def test_indexing_and_len(self):
         S = square()
@@ -508,3 +520,49 @@ class TestLineIdentity:
         dot = lx * p[0] + ly * p[1] + lw * p[2]
         assert dot == geo._det(a, b, p)
         assert (dot > 0) - (dot < 0) == geo._orient(a, b, p)
+
+
+FRACTION_OPS = ("__eq__", "__lt__", "__gt__", "__le__", "__ge__", "__add__",
+                "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+                "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__abs__")
+
+
+class TestNoFractionAfterConstruction:
+    """Once a PointSet holds its homogeneous integers, embedding, verifying,
+    deciding and the gadget's build, drawing and decoding compare and
+    compute on those integers alone: every Fraction comparison and
+    arithmetic operation is counted, and none may run."""
+
+    @staticmethod
+    def count(monkeypatch, run):
+        """run()'s result, and how many times each Fraction operation ran."""
+        counts: collections.Counter = collections.Counter()
+        for name in FRACTION_OPS:
+            def counted(*args, _op=getattr(Fraction, name), _name=name):
+                counts[_name] += 1
+                return _op(*args)
+            monkeypatch.setattr(Fraction, name, counted)
+        out = run()
+        monkeypatch.undo()
+        return out, dict(counts)
+
+    def test_embed_and_verify(self, monkeypatch):
+        rng = random.Random(1)
+        G, S = random_switch_tree(rng, 96), random_convex(rng, 96)
+        assert self.count(monkeypatch, lambda: verify_upse(
+            G, S, embed_switch_tree(G, S))) == ([], {})
+
+    def test_decide_the_counterexample(self, monkeypatch):
+        G, S = gen_binucci_tree(5), gen_binucci_pointset(5)
+        res, ops = self.count(monkeypatch, lambda: decide_upse(G, S))
+        assert (res.result, ops) == ("not_embeddable", {})
+
+    def test_gadget_build_draw_and_decode(self, monkeypatch):
+        inst = PartitionInstance(13, (4, 4, 5, 4, 4, 5))
+        g, ops = self.count(monkeypatch, lambda: gen_gadget(inst))
+        assert ops == {}
+        sol = PartitionSolution(((0, 1, 2), (3, 4, 5)))
+        decoded, ops = self.count(monkeypatch, lambda: embedding_to_solution(
+            g, solution_to_embedding(g, sol)))
+        assert (decoded, ops) == (sol, {})
