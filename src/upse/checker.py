@@ -288,15 +288,14 @@ class _WindowPruner:
     that fitted it. The other side of the edge fits the complementary window
     exactly when this one fits, so one check per edge covers both sides."""
 
-    def __init__(self, G: Digraph, S: PointSet):
-        n = self.n = G.n
+    def __init__(self, tree: dg._Tree, S: PointSet):
+        n = self.n = len(S)
         self.pos = [0] * n
         for where, p in enumerate(geo.convex_hull(S)):
             self.pos[p] = where
         # the window of k hull positions from s is base = 2^k - 1 rotated left
         # by s; placed points have no bit at n or above, so the rotation needs
         # no mask. A side fits it iff the placed points inside are its own
-        tree = dg._Tree(G, 0)
         self.parent = tree.parent
         self.edges = [(w, (1 << tree.size[w]) - 1) for w in tree.order[1:]]
         self.own = [0] * n
@@ -351,10 +350,8 @@ def decide_upse(G: Digraph, S: PointSet,
     order = geo._by_y(S)
     H, left_mask = S._hom, geo._left_mask
 
-    pruner = None
-    if opts.use_consecutive_pruning and n >= 3 \
-            and dg.underlying_is_tree(G) and geo.is_convex_position(S):
-        pruner = _WindowPruner(G, S)
+    tree = opts.use_consecutive_pruning and n >= 3 and dg._rooted(G, 0)
+    pruner = _WindowPruner(tree, S) if tree and geo.is_convex_position(S) else None
 
     # static fail-first candidate order: many satisfied in-arcs first; the
     # ready vertices (unplaced, every in-neighbor placed) are one mask over

@@ -3,9 +3,11 @@
 The structural predicates used by the embedding algorithms live here:
 switch trees (every vertex a source or a sink), longest directed paths,
 path digraphs, and the subtree decomposition obtained by removing a vertex
-from a tree. One rooted pass over a tree (parents, BFS order, children,
-subtree sizes) serves that decomposition, the embedder and the window pruner
-of the decision solver.
+from a tree. One rooted pass (parents, BFS order, children, subtree sizes)
+is the only tree walk: it stops on any graph, so it also answers whether the
+underlying graph is a tree, and a path is a tree of degree at most two. The
+decomposition, the embedder and the window pruner of the decision solver
+each use the rooted tree it leaves.
 """
 
 from __future__ import annotations
@@ -84,24 +86,8 @@ def _endpoint(v) -> int:
 
 
 def underlying_is_tree(G: Digraph) -> bool:
-    """Connected, acyclic as an undirected graph, with arcs forming simple edges.
-
-    n - 1 arcs that reach every vertex suffice: arcs are distinct and
-    loop-free, so an opposite pair would leave only n - 2 distinct edges,
-    too few to connect n vertices.
-    """
-    n = G.n
-    if len(G.arcs) != n - 1:
-        return False
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w in G.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == n
+    """Connected, acyclic as an undirected graph, with arcs forming simple edges."""
+    return _rooted(G, 0) is not None
 
 
 def sources_and_sinks(G: Digraph) -> tuple[frozenset[int], frozenset[int]]:
@@ -143,46 +129,21 @@ def longest_directed_path_length(G: Digraph) -> int:
     return max(dist, default=0)
 
 
-def _path_order(G: Digraph) -> list[int] | None:
-    """Vertex order along the underlying path, or None if not a path."""
-    n = G.n
-    if not underlying_is_tree(G):
-        return None
-    adj = G.adjacency
-    if any(len(a) > 2 for a in adj):
-        return None
-    if n == 1:
-        return [0]
-    start = next(v for v in range(n) if len(adj[v]) == 1)
-    order = [start]
-    prev = -1
-    while len(order) < n:
-        nxt = [w for w in adj[order[-1]] if w != prev]
-        prev = order[-1]
-        order.append(nxt[0])
-    return order
-
-
 def is_path_dag(G: Digraph) -> bool:
     """True iff the underlying graph is a simple path (single vertex included)."""
-    return _path_order(G) is not None
+    return underlying_is_tree(G) and all(len(a) <= 2 for a in G.adjacency)
 
 
 def is_monotone_path(G: Digraph) -> bool:
     """True iff G is a path whose arcs all point the same way along it."""
-    order = _path_order(G)
-    if order is None:
-        return False
-    arcs = set(G.arcs)
-    forward = all((order[i], order[i + 1]) in arcs for i in range(len(order) - 1))
-    backward = all((order[i + 1], order[i]) in arcs for i in range(len(order) - 1))
-    return forward or backward
+    return is_path_dag(G) and longest_directed_path_length(G) == G.n - 1
 
 
 class _Tree:
-    """A tree rooted at r, found in one iterative pass: each vertex's parent
-    (-1 at r), the vertices in BFS order from r, the children in arc order and
-    the subtree sizes."""
+    """G rooted at r, found in one iterative pass: each vertex's parent (-1 at
+    r), the vertices in BFS order from r, the children in arc order and the
+    subtree sizes. From a vertex index r the walk visits each vertex at most
+    once, so it stops on any graph; _rooted tells whether it was a tree."""
 
     def __init__(self, G: Digraph, r: int):
         self.parent = parent = [-1] * G.n
@@ -191,12 +152,31 @@ class _Tree:
         self.order = order = [r]
         for v in order:  # BFS: every vertex comes after its parent
             for w in G.adjacency[v]:
-                if w != parent[v]:
+                if parent[w] < 0 and w != r:
                     parent[w] = v
                     self.children[v].append(w)
                     order.append(w)
         for v in reversed(order[1:]):
             self.size[parent[v]] += self.size[v]
+
+
+def _rooted(G: Digraph, r: int) -> _Tree | None:
+    """G rooted at vertex r, or None if its underlying graph is not a tree.
+
+    n - 1 arcs that reach every vertex suffice: arcs are distinct and
+    loop-free, so an opposite pair would leave only n - 2 distinct edges,
+    too few to connect n vertices.
+    """
+    if len(G.arcs) != G.n - 1:
+        return None
+    tree = _Tree(G, r)
+    return tree if len(tree.order) == G.n else None
+
+
+def _is_vertex(G: Digraph, v) -> bool:
+    # type, not isinstance: True would be read as vertex 1; and -1 would
+    # alias the last vertex
+    return type(v) is int and 0 <= v < G.n
 
 
 @dataclass(frozen=True)
@@ -216,9 +196,12 @@ class TreeDecomposition:
 def decompose_at(G: Digraph, u: int) -> TreeDecomposition:
     """Subtrees hanging off vertex u of a tree, in the order u's arcs appear:
     the children of u in the tree rooted at u, each with its descendants."""
-    if not underlying_is_tree(G):
+    ok = _is_vertex(G, u)
+    tree = _rooted(G, u if ok else 0)
+    if tree is None:
         raise NotATree("underlying graph is not a tree")
-    tree = _Tree(G, u)
+    if not ok:
+        raise ValueError(f"vertex {u!r} is not an index in [0, {G.n})")
     bags: dict[int, list[int]] = {c: [] for c in tree.children[u]}
     top = [-1] * G.n  # the child of u above each vertex
     for v in tree.order[1:]:  # BFS: every vertex comes after its parent

@@ -18,11 +18,16 @@ chains, the lower of the two chain tops and hands its residual on as a sink.
 
 Every block is a window (first, length, step) on the hull cycle, the hull
 listed counterclockwise from the top point, and every residual is a
-sub-window of its block. The cycle and the y-rank of each of its positions
-are built once; after that each step is integer arithmetic on positions and
-ranks, and a residual window whose length does not match its subtree raises
-InternalNonConsecutiveResidual. An explicit stack and a loop over residual
-steps replace recursion, so the depth of the tree is unbounded.
+sub-window of its block. Every window holds the lowest point: the first is
+the whole cycle, chain runs never include that point, and so every residual
+keeps it, as the window's bottom. The cycle and the y-rank of each of its
+positions are built once; after that each step is integer arithmetic on
+positions and ranks, and a residual window whose length does not match its
+subtree raises InternalNonConsecutiveResidual. An explicit stack and a loop
+over residual steps replace recursion, so the depth of the tree is unbounded.
+
+The anchor of every embedder must be a vertex index in [0, n); anything
+else, a bool or -1 included, raises ValueError after the switch-tree test.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 from . import digraph as dg
 from . import geometry as geo
 from .digraph import Digraph
-from .errors import (InternalNonConsecutiveResidual, NotATree, NotConvex,
+from .errors import (InternalNonConsecutiveResidual, NotConvex,
                      NotGeneralPosition, NotOneSided, NotSink, NotSource,
                      NotSwitchTree, SizeMismatch)
 from .geometry import PointSet, Sidedness
@@ -81,36 +86,89 @@ def _embed_one_sided_block(tree: dg._Tree, v: int, block: tuple[int, ...],
             lo += sz
 
 
-class _ConvexEmbedder:
-    """Blocks are windows on the hull cycle: length positions from first, in
-    steps of step = +-1. Every residual is a sub-window of its block, so the
-    positions stay in [0, n) and no list is ever copied."""
+def _rooted_switch_tree(T: Digraph, r: int, sink: bool) -> dg._Tree:
+    """T rooted at its anchor r, in one pass, once these hold in this order:
+    T is a switch tree, r is a vertex index, and r is a sink (a source)."""
+    ok = dg._is_vertex(T, r)
+    tree = dg._rooted(T, r if ok else 0)
+    if tree is None:
+        raise NotSwitchTree("underlying graph is not a tree")
+    if any(T.in_neighbors[v] and T.out_neighbors[v] for v in range(T.n)):
+        raise NotSwitchTree("some vertex is neither a source nor a sink")
+    if not ok:
+        raise ValueError(f"anchor {r!r} is not a vertex index in [0, {T.n})")
+    if sink and T.out_neighbors[r]:
+        raise NotSink(f"vertex {T.vertices[r]!r} has outgoing arcs")
+    if not sink and T.in_neighbors[r]:
+        raise NotSource(f"vertex {T.vertices[r]!r} has incoming arcs")
+    return tree
 
-    def __init__(self, tree: dg._Tree, cycle: tuple[int, ...], rank: list[int],
-                 bottom: int, assign: list[int]):
-        self.tree = tree
-        self.cycle = cycle    # the hull counterclockwise from the top point
-        self.rank = rank      # the y-rank of the point at each cycle position
-        self.bottom = bottom  # the cycle position of the lowest point
-        self.assign = assign
 
-    def block(self, v: int, sink: bool, first: int, length: int, step: int):
-        """Embed the subtree at v into a window; a sink takes the window's top
+def _require_size(T: Digraph, S: PointSet) -> None:
+    if T.n != len(S):
+        raise SizeMismatch(f"{T.n} vertices vs {len(S)} points")
+
+
+def _require_convex_general(S: PointSet) -> None:
+    if not geo.is_general_position(S):
+        raise NotGeneralPosition("point set is not in general position")
+    if not geo._convex_including_small(S):
+        raise NotConvex("point set is not in convex position")
+
+
+def _embed_one_sided(T: Digraph, r: int, S: PointSet, sink: bool) -> Mapping:
+    tree = _rooted_switch_tree(T, r, sink)
+    _require_size(T, S)
+    _require_convex_general(S)
+    if len(S) >= 2 and geo.is_one_sided(S) is Sidedness.TWO_SIDED:
+        raise NotOneSided("point set is two-sided")
+    block = geo._by_y(S)[::-1] if sink else geo._by_y(S)
+    assign = [-1] * T.n
+    _embed_one_sided_block(tree, r, block, 0, 1, assign)
+    return Mapping(tuple(assign))
+
+
+def embed_one_sided_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
+    """Embed switch tree T into one-sided convex S with sink r on the top point."""
+    return _embed_one_sided(T, r, S, sink=True)
+
+
+def embed_one_sided_source(T: Digraph, r: int, S: PointSet) -> Mapping:
+    """Embed switch tree T into one-sided convex S with source r on the bottom point."""
+    return _embed_one_sided(T, r, S, sink=False)
+
+
+def embed_convex_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
+    """Embed switch tree T into convex general-position S with sink r on the top point."""
+    tree = _rooted_switch_tree(T, r, sink=True)
+    _require_size(T, S)
+    _require_convex_general(S)
+    assign = [-1] * T.n
+    n = len(S)
+    hull, order = geo.convex_hull(S), geo._by_y(S)
+    top = hull.index(order[-1])
+    cycle = hull[top:] + hull[:top]  # counterclockwise from the top point
+    y_rank = [0] * n
+    for y, i in enumerate(order):
+        y_rank[i] = y
+    rank = [y_rank[i] for i in cycle]  # the y-rank at each cycle position
+    lowest = -top % n  # the hull starts at the lowest point
+
+    def block(v: int, sink: bool, first: int, length: int, step: int):
+        """Embed the subtree at v into the window of length cycle positions
+        from first, in steps of step = +-1; a sink takes the window's top
         point, a source its bottom point or the lower of the two leftover
         chain tops. Returns the residual's (vertex, sink, window), or None."""
-        cycle, rank, tree, assign = self.cycle, self.rank, self.tree, self.assign
         if length == 1:
             assign[v] = cycle[first]
             return None
         last = first + (length - 1) * step
         if rank[last] > rank[first]:  # put the window's top in front
             first, last, step = last, first, -step
-        # y falls along the cycle from the top to the global bottom, so the
-        # window's bottom is that point if it holds it, and its far end if not
-        b = (self.bottom - first) * step
-        if not 0 <= b < length:
-            b = length - 1
-        bottom = first + b * step
+        # y falls along the cycle from the top to the lowest point, which
+        # every window holds, so it is the window's bottom, b steps from first
+        b = (lowest - first) * step
+        assert 0 <= b < length, "window misses the lowest point"
         if sink:
             assign[v] = cycle[first]
         # run A leads from the top (below it, for a sink) down to the bottom,
@@ -153,84 +211,15 @@ class _ConvexEmbedder:
         if rank[last] < rank[first]:  # put the leftover's lower end in front
             first, last, step = last, first, -step
         assign[v] = cycle[first]
-        if first == bottom:  # leftovers on one y-monotone chain: the rest top first
+        if first == lowest:  # leftovers on one y-monotone chain: the rest top first
             _embed_one_sided_block(tree, residual, cycle, last, -step, assign)
             return None
         # leftovers on both chains: v took the lower chain top; go on with the rest
         return residual, True, first + step, length - 1, step
 
-
-def _require_switch_tree(T: Digraph) -> None:
-    try:
-        ok = dg.is_switch_tree(T)
-    except NotATree as exc:
-        raise NotSwitchTree(str(exc)) from exc
-    if not ok:
-        raise NotSwitchTree("some vertex is neither a source nor a sink")
-
-
-def _require_size(T: Digraph, S: PointSet) -> None:
-    if T.n != len(S):
-        raise SizeMismatch(f"{T.n} vertices vs {len(S)} points")
-
-
-def _require_anchor(T: Digraph, r: int, sink: bool) -> None:
-    if sink and T.out_neighbors[r]:
-        raise NotSink(f"vertex {T.vertices[r]!r} has outgoing arcs")
-    if not sink and T.in_neighbors[r]:
-        raise NotSource(f"vertex {T.vertices[r]!r} has incoming arcs")
-
-
-def _require_convex_general(S: PointSet) -> None:
-    if not geo.is_general_position(S):
-        raise NotGeneralPosition("point set is not in general position")
-    if not geo._convex_including_small(S):
-        raise NotConvex("point set is not in convex position")
-
-
-def _embed_one_sided(T: Digraph, r: int, S: PointSet, sink: bool) -> Mapping:
-    _require_switch_tree(T)
-    _require_anchor(T, r, sink)
-    _require_size(T, S)
-    _require_convex_general(S)
-    if len(S) >= 2 and geo.is_one_sided(S) is Sidedness.TWO_SIDED:
-        raise NotOneSided("point set is two-sided")
-    block = geo._by_y(S)[::-1] if sink else geo._by_y(S)
-    assign = [-1] * T.n
-    _embed_one_sided_block(dg._Tree(T, r), r, block, 0, 1, assign)
-    return Mapping(tuple(assign))
-
-
-def embed_one_sided_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
-    """Embed switch tree T into one-sided convex S with sink r on the top point."""
-    return _embed_one_sided(T, r, S, sink=True)
-
-
-def embed_one_sided_source(T: Digraph, r: int, S: PointSet) -> Mapping:
-    """Embed switch tree T into one-sided convex S with source r on the bottom point."""
-    return _embed_one_sided(T, r, S, sink=False)
-
-
-def embed_convex_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
-    """Embed switch tree T into convex general-position S with sink r on the top point."""
-    _require_switch_tree(T)
-    _require_anchor(T, r, sink=True)
-    _require_size(T, S)
-    _require_convex_general(S)
-    assign = [-1] * T.n
-    n = len(S)
-    hull, order = geo.convex_hull(S), geo._by_y(S)
-    top = hull.index(order[-1])
-    cycle = hull[top:] + hull[:top]  # counterclockwise from the top point
-    y_rank = [0] * n
-    for y, i in enumerate(order):
-        y_rank[i] = y
-    rank = [y_rank[i] for i in cycle]
-    # the hull starts at the lowest point
-    embedder = _ConvexEmbedder(dg._Tree(T, r), cycle, rank, -top % n, assign)
     step = (r, True, 0, n, 1)
     while step is not None:  # each block returns its residual's step, or None
-        step = embedder.block(*step)
+        step = block(*step)
     assert assign[r] == cycle[0]
     assert all(p >= 0 for p in assign) and len(set(assign)) == T.n
     return Mapping(tuple(assign))

@@ -4,6 +4,7 @@ implementations used as oracles."""
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
@@ -469,3 +470,57 @@ def convex_chords_ok(G: Digraph, S: PointSet, m: Mapping) -> bool:
             if r not in (p, q) and s not in (p, q) and (p < r < q) != (p < s < q):
                 return False
     return True
+
+
+def walk_is_tree(G: Digraph) -> bool:
+    """underlying_is_tree by a deque BFS from vertex 0 over a seen set: n - 1
+    arcs that reach every vertex."""
+    if len(G.arcs) != G.n - 1:
+        return False
+    seen, queue = {0}, deque([0])
+    while queue:
+        for w in G.adjacency[queue.popleft()]:
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return len(seen) == G.n
+
+
+def walk_path_order(G: Digraph) -> list[int] | None:
+    """The vertices along the underlying path from one end, or None if it is
+    not a path: a walk that never steps back to the vertex it came from."""
+    adj = G.adjacency
+    if not walk_is_tree(G) or any(len(a) > 2 for a in adj):
+        return None
+    order = [next((v for v in range(G.n) if len(adj[v]) == 1), 0)]
+    prev = -1
+    while len(order) < G.n:
+        nxt = [w for w in adj[order[-1]] if w != prev]
+        prev = order[-1]
+        order.append(nxt[0])
+    return order
+
+
+def walk_is_monotone_path(G: Digraph) -> bool:
+    """Whether walk_path_order finds every arc pointing one way along it."""
+    order = walk_path_order(G)
+    if order is None:
+        return False
+    arcs, steps = set(G.arcs), list(zip(order, order[1:]))
+    return all(s in arcs for s in steps) or all(s[::-1] in arcs for s in steps)
+
+
+def walk_decompose(G: Digraph, u: int) -> list[tuple[frozenset[int], int, bool]]:
+    """(vertices, attachment, arc into u) of each component of the tree G
+    without u, in the order of u's arcs: a BFS from each neighbour of u that
+    never enters u."""
+    out = []
+    for c in G.adjacency[u]:
+        seen, queue = {u, c}, deque([c])
+        while queue:
+            for w in G.adjacency[queue.popleft()]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        out.append((frozenset(seen - {u}), c, c in G.in_neighbors[u]))
+    return out

@@ -212,6 +212,31 @@ class TestSweepAgainstPairwiseOracle:
         assert [v.subjects for v in verify_upse(G, S, m)] == [(0, 1), (0, 2), (1, 2)]
         assert verify_upse(G, S, m) == pairwise_violations(G, S, m)
 
+    def test_points_left_over_are_passed_by(self, monkeypatch):
+        # more points than vertices: the sweep skips the points no vertex takes
+        def pairwise(*args):
+            raise AssertionError("fell back to the pairwise loops")
+        monkeypatch.setattr(checker, "_pairwise", pairwise)
+        rng = random.Random(19)
+        for _ in range(40):
+            n = rng.randrange(2, 9)
+            T = random_switch_tree(rng, n)
+            S = random_convex(rng, n + rng.randrange(1, 5), "mixed")
+            m = Mapping(tuple(rng.sample(range(len(S)), n)))
+            assert verify_upse(T, S, m) == pairwise_violations(T, S, m)
+
+    def test_two_arcs_leaving_one_point_along_one_line(self):
+        # a -> b lies on a -> c: the sweep cannot order the two, so the
+        # pairwise loops report the overlap and b on a -> c
+        G = Digraph(list("abc"), [(0, 1), (0, 2)])
+        S = PointSet([pt(0, 0), pt(1, 1), pt(2, 2)])
+        m = Mapping((0, 1, 2))
+        with pytest.raises(checker._Degenerate):
+            checker._sweep_crossings(S, m.assignment, [(0, 1), (0, 2)])
+        assert [(v.kind.value, v.subjects) for v in verify_upse(G, S, m)] == [
+            ("arcs_cross", (0, 1)), ("vertex_on_arc", (1, 1))]
+        assert verify_upse(G, S, m) == pairwise_violations(G, S, m)
+
     def test_general_position_drawings_never_fall_back(self, monkeypatch):
         def pairwise(*args):
             raise AssertionError("fell back to the pairwise loops")

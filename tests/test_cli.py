@@ -69,6 +69,12 @@ class TestEmbed:
         assert err["error"]["kind"] == "NotSwitchTree"
         assert err["error"]["message"]
 
+    def test_empty_graph_is_not_a_switch_tree(self, tmp_path, capsys):
+        g = dump(tmp_path, "g.json", {"vertices": [], "arcs": []})
+        s = dump(tmp_path, "s.json", {"points": [[0, 0]]})
+        assert main(["embed", "--graph", g, "--points", s]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "NotSwitchTree"
+
     def test_size_mismatch(self, tmp_path, capsys):
         g, _ = star_files(tmp_path)
         s = dump(tmp_path, "small.json", {"points": [[0, 0], [1, 1]]})

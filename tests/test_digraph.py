@@ -11,7 +11,8 @@ from upse import (Cyclic, Digraph, NotATree, decompose_at, is_monotone_path,
                   sources_and_sinks, topological_order, underlying_is_tree)
 
 from helpers import (naive_neighbors, random_dag, random_switch_tree,
-                     random_tree_edges)
+                     random_tree_edges, walk_decompose, walk_is_monotone_path,
+                     walk_is_tree, walk_path_order)
 
 
 def monotone_path(n):
@@ -105,6 +106,74 @@ class TestAdjacency:
                     [(i, i + 1) if i % 2 else (i + 1, i) for i in range(n - 1)])
         assert is_path_dag(G)
         assert not is_monotone_path(G)
+
+
+@st.composite
+def trees_and_non_trees(draw):
+    """(n, arcs) of every shape the tree test must tell apart: arc_lists,
+    oriented paths, directed or mixed cycles, a tree with a leaf cut off and,
+    from four vertices on, a chord that brings the arcs back to n - 1, a tree
+    whose last arc is swapped for the reverse of its first, and one vertex.
+    Vertex numbers are shuffled, so vertex 0 is anywhere."""
+    kind = draw(st.sampled_from(("arcs", "path", "cycle", "disconnected",
+                                 "antiparallel", "one")))
+    if kind == "arcs":
+        return draw(arc_lists())
+    if kind == "one":
+        return 1, []
+    n = draw(st.integers(3 if kind in ("cycle", "antiparallel") else 2, 12))
+    if kind in ("path", "cycle"):
+        edges = [(i, i + 1) for i in range(n - 1)] + [(n - 1, 0)] * (kind == "cycle")
+    else:
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        if kind == "antiparallel":
+            edges[-1] = edges[0][::-1]
+        else:  # cut off the leaf n - 1, and close a cycle in the rest if it has room
+            edges.pop()
+            edges += [c for c in itertools.combinations(range(n - 1), 2)
+                      if c not in edges][:1]
+    if kind != "antiparallel" and draw(st.booleans()):
+        edges = [(h, t) if draw(st.booleans()) else (t, h) for t, h in edges]
+    perm = draw(st.permutations(range(n)))
+    return n, [(perm[t], perm[h]) for t, h in edges]
+
+
+class TestTreePredicatesAgainstTheWalks:
+    """The tree predicates and decompose_at, all from one rooted pass, against
+    walks that share no code with it: a BFS over a seen set, a path walk and
+    a BFS per neighbour of the removed vertex."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(trees_and_non_trees())
+    def test_same_answers(self, case):
+        n, arcs = case
+        G = Digraph([f"v{i}" for i in range(n)], arcs)
+        tree = walk_is_tree(G)
+        assert underlying_is_tree(G) == tree
+        assert is_path_dag(G) == (walk_path_order(G) is not None)
+        assert is_monotone_path(G) == walk_is_monotone_path(G)
+        for u in range(n):
+            if tree:
+                dec = decompose_at(G, u)
+                assert dec.removed_vertex == u
+                assert [(st.vertices, st.attachment, st.arc_into_removed)
+                        for st in dec.subtrees] == walk_decompose(G, u)
+            else:
+                with pytest.raises(NotATree):
+                    decompose_at(G, u)
+
+    @pytest.mark.parametrize("n, arcs, tree", [
+        (1, [], True),
+        (3, [(0, 1), (1, 2), (2, 0)], False),            # a directed cycle
+        (4, [(0, 1), (1, 2), (2, 0)], False),            # n - 1 arcs, not connected
+        (3, [(0, 1), (1, 0)], False),                    # an antiparallel pair
+        (4, [(1, 0), (1, 2), (3, 2)], True),             # a zigzag path
+    ])
+    def test_named_shapes(self, n, arcs, tree):
+        G = Digraph([f"v{i}" for i in range(n)], arcs)
+        assert underlying_is_tree(G) == walk_is_tree(G) == tree
+        assert is_path_dag(G) == (walk_path_order(G) is not None) == tree
+        assert is_monotone_path(G) == walk_is_monotone_path(G) == (n == 1)
 
 
 class TestSourcesSinks:
@@ -268,3 +337,12 @@ class TestDecompose:
     def test_requires_tree(self):
         with pytest.raises(NotATree):
             decompose_at(Digraph(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)]), 0)
+
+    @pytest.mark.parametrize("u", [-1, 3, True, 1.0])
+    def test_vertex_must_be_an_index(self, u):
+        # -1 would alias the last vertex and True vertex 1; a non-tree still
+        # raises NotATree first
+        with pytest.raises(ValueError, match=f"vertex {u!r} is not an index"):
+            decompose_at(monotone_path(3), u)
+        with pytest.raises(NotATree):
+            decompose_at(Digraph(["a", "b", "c"], [(0, 1)]), u)

@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from upse import (Digraph, Mapping, NotOneSided, NotSink, NotSource,
-                  NotSwitchTree, Point, PointSet, SizeMismatch, classify_sides,
+from upse import (Digraph, Mapping, NotConvex, NotGeneralPosition,
+                  NotOneSided, NotSink, NotSource, NotSwitchTree, Point,
+                  PointSet, SizeMismatch, classify_sides,
                   embed_convex_sink, embed_one_sided_sink,
                   embed_one_sided_source, embed_switch_tree, pt, verify_upse)
 
@@ -195,6 +196,46 @@ class TestSwitchTreeEmbedding:
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0
         assert valid(T, S, m)
+
+
+ANCHORED = {"one_sided_sink": (embed_one_sided_sink, 0),
+            "one_sided_source": (embed_one_sided_source, 1),
+            "convex_sink": (embed_convex_sink, 0)}
+
+
+class TestPreconditions:
+    """Each anchored embedder checks, in order: a switch tree, the anchor as
+    a vertex index, the anchor's role, the size, then general and convex
+    position. in_star(2) has its sink at 0 and sources at 1 and 2."""
+
+    @pytest.mark.parametrize("embedder", ANCHORED)
+    @pytest.mark.parametrize("r", [-1, 3, True, 0.0],
+                             ids=["negative", "past_the_end", "bool", "float"])
+    def test_anchor_must_be_a_vertex_index(self, embedder, r):
+        # -1 would alias the last vertex and True vertex 1
+        embed, _ = ANCHORED[embedder]
+        S = random_convex(random.Random(0), 3, "left")
+        with pytest.raises(ValueError, match=f"anchor {r!r} is not a vertex index"):
+            embed(in_star(2), r, S)
+        with pytest.raises(NotSwitchTree):  # the tree test comes first
+            embed(Digraph(["a", "b", "c"], [(0, 1), (1, 2)]), r, S)
+
+    def test_empty_graph_is_not_a_switch_tree(self):
+        with pytest.raises(NotSwitchTree):
+            embed_switch_tree(Digraph([], []), PointSet([pt(0, 0)]))
+
+    @pytest.mark.parametrize("embedder", ANCHORED)
+    def test_collinear_points_are_not_in_general_position(self, embedder):
+        embed, r = ANCHORED[embedder]
+        with pytest.raises(NotGeneralPosition):
+            embed(in_star(2), r, PointSet([pt(0, 0), pt(1, 1), pt(2, 2)]))
+
+    @pytest.mark.parametrize("embedder", ANCHORED)
+    def test_a_point_inside_the_hull_is_not_convex(self, embedder):
+        embed, r = ANCHORED[embedder]
+        S = PointSet([pt(0, 0), pt(4, 2), pt(1, 3), pt(0, 8)])  # (1, 3) is inside
+        with pytest.raises(NotConvex):
+            embed(in_star(3), r, S)
 
 
 @functools.lru_cache(maxsize=None)

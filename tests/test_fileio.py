@@ -111,6 +111,7 @@ class TestGraphs:
         {"vertices": ["a", "b"], "arcs": [["a", "z"]]},      # unknown label
         {"vertices": ["a", "a"], "arcs": []},                # duplicate label
         {"vertices": ["a"], "arcs": [["a", "a"]]},           # self loop
+        {"vertices": ["a", "b"], "arcs": {"a": "b"}},        # arcs not a list
     ])
     def test_rejects_malformed(self, obj):
         with pytest.raises(FormatError):
@@ -197,6 +198,11 @@ class TestGadgetBundles:
         obj = gadget_to_obj(gen_gadget(PartitionInstance(3, (1,) * 6)))
         mutate(obj)
         with pytest.raises(FormatError):
+            gadget_from_obj(obj)
+
+    @pytest.mark.parametrize("obj", [[], "gadget", None])
+    def test_rejects_a_bundle_that_is_not_an_object(self, obj):
+        with pytest.raises(FormatError, match="must be an object"):
             gadget_from_obj(obj)
 
     def test_rejects_inconsistent_instance(self):

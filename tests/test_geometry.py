@@ -176,6 +176,10 @@ class TestSides:
         with pytest.raises(NotConvex):
             classify_sides(PointSet([pt(0, 0), pt(4, 1), pt(2, 4), pt(2, 1)]))
 
+    def test_rejects_one_point(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            classify_sides(PointSet([pt(0, 0)]))
+
     def test_one_sided(self):
         S = self.build()
         assert is_one_sided(S) is Sidedness.TWO_SIDED
@@ -249,6 +253,11 @@ class TestConsecutive:
     def test_gap_is_rejected(self):
         hull = list(convex_hull(self.S))
         assert not is_consecutive([hull[0], hull[2]], self.S)
+
+    @pytest.mark.parametrize("i", [8, -1])
+    def test_index_outside_the_set_is_rejected(self, i):
+        with pytest.raises(ValueError, match=f"index {i} is not a point of the set"):
+            is_consecutive([0, i], self.S)
 
 
 class TestPredicateFuzz:
