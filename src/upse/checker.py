@@ -40,13 +40,18 @@ id masks hold bits only for pairs that were drawn.
 
 On convex point sets and tree inputs an additional pruning rule applies:
 removing a tree edge splits the tree into two sides, and in every valid
-drawing each side occupies a run of consecutive points along the hull cycle
-(a side fits a run exactly when the other side fits the complementary run).
-With the tree rooted once, each edge stands for the subtree under its child
-end; it keeps the hull positions of its placed vertices as one bit mask and a
-cached witness window. After every placement each edge is checked, starting from
-its witness, and a partial assignment that leaves some edge without a window
-is abandoned.
+drawing each side occupies a window, a run of consecutive points along the
+hull cycle, of its own size. Points are filled bottom to top, so the placed
+points are always the k lowest: on a convex set, one run of the hull cycle
+around the bottom point, which never wraps when positions count from the top
+point. A side whose placed points form one run fits a window holding no other
+placed point iff they are the whole side, or they are empty or reach an end
+of the placed run: the free points beyond that end always make up the rest,
+since the other side's placed vertices number at most its size. The two
+sides of an edge fit complementary windows, so both fit or neither does, and
+a side whose placed points are not one run is tested through the other side.
+With the tree rooted once, each edge keeps its child side's placed positions
+as one bit mask, and a placement costs one O(1) test per edge.
 """
 
 from __future__ import annotations
@@ -279,59 +284,6 @@ class DecideResult:
     nodes_explored: int
 
 
-class _WindowPruner:
-    """Consecutive-run feasibility for both sides of every tree edge.
-
-    Rooted at vertex 0, each non-root vertex w stands for the edge to its
-    parent and for the side under it: own[w] holds the hull positions of the
-    placed vertices of w's subtree, window[w] the mask of the last window
-    that fitted it. The other side of the edge fits the complementary window
-    exactly when this one fits, so one check per edge covers both sides."""
-
-    def __init__(self, tree: dg._Tree, S: PointSet):
-        n = self.n = len(S)
-        self.pos = [0] * n
-        for where, p in enumerate(geo.convex_hull(S)):
-            self.pos[p] = where
-        # the window of k hull positions from s is base = 2^k - 1 rotated left
-        # by s; placed points have no bit at n or above, so the rotation needs
-        # no mask. A side fits it iff the placed points inside are its own
-        self.parent = tree.parent
-        self.edges = [(w, (1 << tree.size[w]) - 1) for w in tree.order[1:]]
-        self.own = [0] * n
-        self.window = [0] * n
-        for w, base in self.edges:
-            self.window[w] = base
-        self.placed_all = 0
-
-    def _flip(self, v: int, p: int) -> None:
-        # v at point p enters or leaves its own side and every side above it
-        bit = 1 << self.pos[p]
-        self.placed_all ^= bit
-        own, parent = self.own, self.parent
-        while v >= 0:
-            own[v] ^= bit
-            v = parent[v]
-
-    def place(self, v: int, p: int) -> bool:
-        """Record v at point p; report whether every edge's side still fits."""
-        self._flip(v, p)
-        placed, own, window, n = self.placed_all, self.own, self.window, self.n
-        for w, base in self.edges:
-            if placed & window[w] == own[w]:
-                continue
-            for s in range(n):
-                win = base << s | base >> (n - s)
-                if placed & win == own[w]:
-                    window[w] = win
-                    break
-            else:
-                return False
-        return True
-
-    unplace = _flip
-
-
 def decide_upse(G: Digraph, S: PointSet,
                 options: SolverOptions | None = None) -> DecideResult:
     """Exhaustively decide whether G admits an upward planar straight-line
@@ -350,8 +302,46 @@ def decide_upse(G: Digraph, S: PointSet,
     order = geo._by_y(S)
     H, left_mask = S._hom, geo._left_mask
 
+    # the window rule: rooted at vertex 0, each other vertex w stands for the
+    # edge to its parent, and own[w] holds the hull positions (counted from
+    # the top point) of the placed vertices under it; below[k] holds those of
+    # the k lowest points
     tree = opts.use_consecutive_pruning and n >= 3 and dg._rooted(G, 0)
-    pruner = _WindowPruner(tree, S) if tree and geo.is_convex_position(S) else None
+    pruned = bool(tree) and geo.is_convex_position(S)
+    if pruned:
+        hull = geo.convex_hull(S)
+        top = hull.index(order[-1])
+        bit = [0] * n
+        for where, p in enumerate(hull):
+            bit[p] = 1 << (where - top) % n
+        below = [0]
+        for p in order:
+            below.append(below[-1] | bit[p])
+        parent, own = tree.parent, [0] * n
+        edges = [(w, tree.size[w]) for w in tree.order[1:]]
+
+        def flip(v: int, p: int) -> None:
+            # v at point p enters or leaves its side and every side above it
+            b = bit[p]
+            while v >= 0:
+                own[v] ^= b
+                v = parent[v]
+
+        def fits(k: int) -> bool:
+            # whether, with k points placed, each edge has a side whose placed
+            # points form one run that is empty, the whole side, or at an end
+            # of the placed run
+            placed = below[k]
+            ends = placed & -placed | 1 << placed.bit_length() - 1
+            for w, size in edges:
+                a = own[w]
+                if a + (a & -a) & a:  # not one run: test the other side
+                    a, size = placed ^ a, n - size
+                    if a + (a & -a) & a:
+                        return False
+                if a and not a & ends and a.bit_count() != size:
+                    return False
+            return True
 
     # static fail-first candidate order: many satisfied in-arcs first; the
     # ready vertices (unplaced, every in-neighbor placed) are one mask over
@@ -434,10 +424,12 @@ def decide_upse(G: Digraph, S: PointSet,
             nodes += 1
             if (ids := arcs_into(v, q, drawn)) < 0:
                 continue
-            # the pruner reads only its own state: ask it before drawing
-            if pruner is not None and not pruner.place(v, q):
-                pruner.unplace(v, q)
-                continue
+            # the window rule reads only its own state: ask it before drawing
+            if pruned:
+                flip(v, q)
+                if not fits(len(placed) + 1):
+                    flip(v, q)
+                    continue
             drawn |= ids
             point_of[v] = q
             ready ^= 1 << r
@@ -454,8 +446,8 @@ def decide_upse(G: Digraph, S: PointSet,
             if placed:
                 v = placed.pop()
                 q = point_of[v]
-                if pruner is not None:
-                    pruner.unplace(v, q)
+                if pruned:
+                    flip(v, q)
                 for u in in_nb[v]:
                     drawn ^= 1 << memo[point_of[u] * n + q][3]
                 for w in out_nb[v]:

@@ -159,15 +159,13 @@ def _sidedness_or_fail(sub: PointSet, what: str) -> Sidedness:
         raise PropertyCheckFailed(f"{what}: {exc}") from exc
 
 
-def _extends_general_position(placed_h: list[geo.Hom], placed_y: set,
-                              cand: list[tuple]) -> bool:
+def _extends_general_position(placed_h: list[geo.Hom], cand: list[tuple]) -> bool:
     """Whether the general-position points with homogeneous coordinates
-    placed_h and ys placed_y stay in general position with the (x, y) pairs
-    cand added: no y of cand repeats a placed y or another y of cand, and no
-    triple through a point of cand is collinear. gen_gadget passes ints only,
-    so no Fraction is compared; rational pairs give the same answer."""
-    ys = {y for _, y in cand}
-    return len(ys) == len(cand) and ys.isdisjoint(placed_y) and \
+    placed_h stay in general position with the (x, y) pairs cand added, given
+    that no y of cand is a placed y: no two ys of cand repeat, and no triple
+    through a point of cand is collinear. gen_gadget passes ints only, so no
+    Fraction is compared; rational pairs give the same answer."""
+    return len({y for _, y in cand}) == len(cand) and \
         geo._no_collinear_triple(placed_h + [geo._hom(p) for p in cand], len(placed_h))
 
 
@@ -309,9 +307,9 @@ def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
 
     # the placed points stay in general position, so a slid group can only
     # fail the test through a y or a triple that holds one of its own points;
-    # the base layout is integral, so the slides run on ints
+    # every y of a slid group lies below every placed y (the band-gap check),
+    # and the base layout is integral, so the slides run on ints
     placed_h: list[geo.Hom] = [(tx, ty, 1)]
-    placed_y = {ty}
     lowest = ty
     shifted: list[list[tuple[int, int]]] = []
     for grp in reversed(base_groups):  # top group first, sliding only downward
@@ -320,12 +318,11 @@ def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
             cand = [(x, y - v) for x, y in grp]
             if max(y for _, y in cand) >= lowest:
                 raise PropertyCheckFailed("group slide collapsed the band gap")
-            if _extends_general_position(placed_h, placed_y, cand):
+            if _extends_general_position(placed_h, cand):
                 break
             v += 1
         shifted.append(cand)
         placed_h += map(geo._hom, cand)
-        placed_y.update(y for _, y in cand)
         lowest = min(y for _, y in cand)
 
     q = ty - lowest + 1

@@ -153,10 +153,13 @@ def segments_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
 
 
 class PointSet:
-    """Ordered collection of pairwise-distinct points with cached queries."""
+    """Ordered collection of pairwise-distinct points with cached queries.
+    An entry may be a Point or any (x, y) pair of ints or Fractions; the set
+    keeps it as a Point."""
 
     def __init__(self, points: Iterable[Point]):
-        pts = tuple(points)
+        # the type test keeps the common case, a Point already, off the slow path
+        pts = tuple(p if type(p) is Point else _as_point(p) for p in points)
         if not pts:
             raise ValueError("point set must be non-empty")
         # _hom is injective, and a tuple of ints hashes far faster than a
@@ -189,6 +192,13 @@ class PointSet:
 
     def __repr__(self) -> str:
         return f"PointSet({list(self.points)!r})"
+
+
+def _as_point(p) -> Point:
+    try:
+        return Point(*p)
+    except TypeError:
+        raise ValueError(f"point {p!r} is not an (x, y) pair") from None
 
 
 def _approx(q: Fraction) -> float:

@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from upse import (Digraph, Mapping, NotGeneralPosition, Orientation,
@@ -522,9 +522,54 @@ class TestSearchAgainstReference:
                     reference_search(G, S, prune, 5000)
 
 
+@st.composite
+def convex_tree_instances(draw):
+    """A tree DAG on a convex set, searched with pruning under a budget: a
+    random one with at most 14 vertices on a mixed, left or right set, or a
+    k-switch member (the counterexample when k = n - 1) with some arcs
+    reversed, on its own point set or a random convex one. The members get a
+    budget that most of their searches finish in, so that negative answers
+    occur."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    kind = draw(st.sampled_from(("mixed", "left", "right")))
+    if draw(st.booleans()):
+        G = random_tree_dag(rng, draw(st.integers(3, 14)))
+        S = random_convex(rng, G.n, kind)
+        return G, S, draw(st.integers(0, 1000) | st.just(10_000))
+    n = draw(st.sampled_from((5, 7)))
+    G = gen_kswitch_tree(n, draw(st.integers(2, n - 1)))
+    flips = draw(st.sets(st.integers(0, G.n - 2), max_size=3))
+    G = Digraph(G.vertices, [(h, t) if i in flips else (t, h)
+                             for i, (t, h) in enumerate(G.arcs)])
+    S = gen_binucci_pointset(n) if draw(st.booleans()) else random_convex(rng, G.n, kind)
+    return G, S, 10_000
+
+
+class TestWindowRule:
+    """The window rule on trees over convex sets: a closed-form test per tree
+    edge, read off the fill order, against the set-based windows_fit of
+    tests/helpers.reference_search."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(convex_tree_instances())
+    def test_searches_agree(self, instance):
+        G, S, budget = instance
+        res = decide_upse(G, S, SolverOptions(node_budget=budget))
+        event(res.result)
+        got = (res.result, res.nodes_explored,
+               res.mapping.assignment if res.mapping else None)
+        assert got == reference_search(G, S, True, budget)
+
+    @pytest.mark.parametrize("n, nodes", [(21, 3530), (61, 24930)])
+    def test_counterexample_is_pinned(self, n, nodes):
+        res = decide_upse(gen_binucci_tree(n), gen_binucci_pointset(n))
+        assert (res.result, res.nodes_explored) == ("not_embeddable", nodes)
+
+
 class TestScale:
     """The crossing memo grows with the arcs drawn, not with the point pairs
-    squared: peak memory of the search under tracemalloc."""
+    squared: peak memory of the search under tracemalloc. The window rule
+    costs one test per tree edge and node."""
 
     def test_long_monotone_path(self):
         # every arc is tested once against every arc below it; a memo of n^2
@@ -541,6 +586,13 @@ class TestScale:
             tracemalloc.stop()
         assert (res.result, res.nodes_explored) == ("embeddable", n)
         assert peak < 4 * 2 ** 20
+
+    def test_long_monotone_path_pruned(self):
+        # every one of the 1 000 nodes tests all 999 tree edges
+        n = 1000
+        G = Digraph([f"x{i}" for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+        res = decide_upse(G, random_convex(random.Random(8), n))
+        assert (res.result, res.nodes_explored) == ("embeddable", n)
 
     def test_gadget_search_does_not_grow_per_node(self):
         # 80 000 nodes: a record of even 8 bytes per node would pass the bound

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from upse import (NotConvex, NotGeneralPosition, Orientation,
-                  PartitionInstance, PartitionSolution, Point, PointSet,
-                  Sidedness, classify_sides, convex_depth, convex_hull, cross,
-                  decide_upse, embed_switch_tree, embedding_to_solution,
+from upse import (Digraph, Mapping, NotConvex, NotGeneralPosition,
+                  Orientation, PartitionInstance, PartitionSolution, Point,
+                  PointSet, Sidedness, ViolationKind, classify_sides,
+                  convex_depth, convex_hull, cross, decide_upse,
+                  embed_switch_tree, embedding_to_solution,
                   gen_binucci_pointset, gen_binucci_tree, gen_gadget,
                   is_consecutive, is_convex_position, is_general_position,
                   is_one_sided, orientation, point_left_of_line,
-                  point_right_of_line, pt, segments_cross,
+                  point_right_of_line, pt, render_svg, segments_cross,
                   solution_to_embedding, verify_upse)
+from upse import fileio
 from upse import geometry as geo
 from upse.geometry import _by_y
 
@@ -51,6 +53,27 @@ class TestPointSet:
         S = square()
         assert len(S) == 4
         assert S[2] == pt(2, 2)
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 0), (2, 1), (0, 2), (2, 3)],
+        [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(1, 2)),
+         (Fraction(-1, 3), Fraction(2)), (Fraction(5, 2), Fraction(3))],
+    ])
+    def test_plain_pairs_become_points(self, pairs):
+        S = PointSet(pairs)
+        assert all(type(p) is Point for p in S)
+        assert S == PointSet([pt(x, y) for x, y in pairs])
+        G = Digraph(["a", "b", "c", "d"], [(0, 3), (1, 2)])
+        m = Mapping((0, 1, 2, 3))
+        assert [v.kind for v in verify_upse(G, S, m)] == [ViolationKind.ARCS_CROSS]
+        assert render_svg(S, G, m) == render_svg(PointSet(map(pt, *zip(*pairs))), G, m)
+        assert fileio.points_to_obj(S)["points"] == [
+            [fileio.rational_to_json(Fraction(c)) for c in p] for p in pairs]
+
+    @pytest.mark.parametrize("bad", [(1, 2, 3), (1,), 5, None])
+    def test_rejects_an_entry_that_is_not_a_pair(self, bad):
+        with pytest.raises(ValueError, match=r"^point .* is not an \(x, y\) pair$"):
+            PointSet([pt(0, 0), bad])
 
 
 class TestOrientation:
