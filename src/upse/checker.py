@@ -7,15 +7,18 @@ vertex point lying in the interior of some other arc's segment, which can
 only happen off general position. All arithmetic is exact, on geometry's
 homogeneous integers.
 
-Crossings come from one Bentley-Ottmann sweep upward through the points:
-O((n + m + k) log(n + m)) predicate tests for n vertices, m arcs and k
-crossings (the status is a Python list, so each insertion also shifts up to m
-references). A drawing the sweep does not handle (two vertices on one point,
-a horizontal arc, a vertex inside an arc, arcs that touch or overlap, three
-arcs through one crossing) is never valid; for those verify_upse tests every
-pair of arcs and every vertex against every arc, in O(m^2 + n m), and reports
-the same list either way: crossing pairs in (i, j) order, then (vertex, arc)
-pairs.
+verify_upse reads each arc once, as a segment from its lower end up (a
+falling arc from its head). A drawing with two vertices on one point or an
+arc between equal heights is never valid and goes straight to the pairwise
+loops, which test every pair of arcs and every vertex against every arc, in
+O(m^2 + n m). Any other drawing is swept: crossings come from one
+Bentley-Ottmann sweep upward through the points, O((n + m + k) log(n + m))
+predicate tests for n vertices, m arcs and k crossings (the status is a
+Python list, so each insertion also shifts up to m references). A drawing
+the sweep meets but does not handle (a vertex inside an arc, arcs that touch
+or overlap, three arcs through one crossing) is never valid either, and goes
+to the pairwise loops too. The list is the same either way: crossing pairs in
+(i, j) order, then (vertex, arc) pairs.
 
 decide_upse is an exhaustive backtracking search. Points are consumed bottom
 to top; a vertex may take the next point only once all its in-neighbors are
@@ -23,20 +26,22 @@ placed, which makes the upward condition hold by construction and leaves
 planarity as the only thing to check per placement. The ready vertices are
 one bit mask over a fixed fail-first order (most in-arcs first), updated as
 vertices are placed and removed, so each depth steps straight to its next
-ready candidate. The search runs from an explicit stack, one rank per depth,
-so its depth is not bounded by Python's recursion limit, and a node budget
-counts exactly the nodes explored.
+ready candidate. The search runs from one explicit stack, the rank and the
+arc ids of the vertex placed at each depth, so its depth is not bounded by
+Python's recursion limit and a backtrack undoes its arcs with one xor; a node
+budget counts exactly the nodes explored.
 
 The planarity check is a memo that grows with the arcs actually drawn. Each
 point pair (a, q) that is tested keeps the bit mask of the points strictly
 left of a -> q; in general position no point lies on the line through two
 others, so two arcs with four distinct ends cross iff each one's mask
-separates the other's ends. A pair gets a dense id when an arc is first drawn
-there, and the arcs on the stack are one mask of ids. Each tested pair also
-keeps the ids already tested against it and those among them that cross it,
-so a placement tests only the drawn ids that are new to its pair, and fails
-iff a drawn id crosses. No drawn arc is tested against a pair twice, and the
-id masks hold bits only for pairs that were drawn.
+separates the other's ends. A pair gets a dense id where it is tested, when
+its arc first passes, and the arcs on the stack are one mask of ids. Each
+tested pair also keeps the ids already tested against it and those among
+them that cross it, so a placement tests only the drawn ids that are new to
+its pair, and fails iff a drawn id crosses. No drawn arc is tested against a
+pair twice; an id enters the mask only with its arc, so the ids of pairs
+whose vertex then fails are never tested.
 
 On convex point sets and tree inputs an additional pruning rule applies:
 removing a tree edge splits the tree into two sides, and in every valid
@@ -106,19 +111,28 @@ def verify_upse(G: Digraph, S: PointSet, m: Mapping) -> list[Violation]:
         else:
             seen[p] = v
 
+    # each arc as a segment from its lower end up; a falling arc is swept from
+    # its head, and an arc between equal heights is flat
     H = S._hom
+    lower, upper, flat = [], [], False
     for a, (t, h) in enumerate(G.arcs):
-        (_, yt, wt), (_, yh, wh) = H[m[t]], H[m[h]]
+        p, q = m[t], m[h]
+        (_, yt, wt), (_, yh, wh) = H[p], H[q]
         if not yh * wt > yt * wh:
             out.append(Violation(
                 ViolationKind.ARC_NOT_UPWARD, (a,),
                 f"arc {G.vertices[t]!r}->{G.vertices[h]!r} does not rise"))
+            flat = flat or yh * wt == yt * wh
+            p, q = q, p
+        lower.append(p)
+        upper.append(q)
 
-    segs = [(m[t], m[h]) for t, h in G.arcs]
     try:
-        crossings, on_arc = _sweep_crossings(S, m.assignment, segs), []
+        if flat or len(seen) < G.n:  # never valid, and not for the sweep
+            raise _Degenerate
+        crossings, on_arc = _sweep_crossings(S, m.assignment, lower, upper), []
     except _Degenerate:
-        crossings, on_arc = _pairwise(S, m.assignment, segs)
+        crossings, on_arc = _pairwise(S, m.assignment, list(zip(lower, upper)))
     for i, j in crossings:
         ti, hi = G.arcs[i]
         tj, hj = G.arcs[j]
@@ -140,10 +154,11 @@ class _Degenerate(Exception):
     verify_upse then tests every pair instead."""
 
 
-def _sweep_crossings(S: PointSet, points: tuple[int, ...],
-                     segs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Every pair i < j of crossing segments, sorted: a Bentley-Ottmann sweep
-    upward through the distinct points in (y, x) order.
+def _sweep_crossings(S: PointSet, points: tuple[int, ...], lower: list[int],
+                     upper: list[int]) -> list[tuple[int, int]]:
+    """Every pair i < j of crossing segments lower[i] -> upper[i], sorted: a
+    Bentley-Ottmann sweep upward through the points in (y, x) order. The
+    caller guarantees distinct points and strictly rising segments.
 
     The status lists the segments met by the sweep line from left to right.
     Each point removes the segments that end there and inserts, sorted by
@@ -152,23 +167,13 @@ def _sweep_crossings(S: PointSet, points: tuple[int, ...],
     point, where the two swap. Each segment's line is computed once, as
     geo._wedge of its lower and upper end, so a side test is the sign of one
     3-term dot product, which equals the orientation determinant exactly.
-    Raises _Degenerate on two vertices at one point, a horizontal segment, a
+    Raises _Degenerate on two segments leaving one point along one line, a
     point inside a segment, neighbours that touch or overlap, or three
     segments through one crossing.
     """
     pts, H = S.points, S._hom
     starts: dict[int, list[int]] = {p: [] for p in points}
-    if len(starts) < len(points):
-        raise _Degenerate
-    lower, upper = [], []
-    for i, (p, q) in enumerate(segs):
-        (_, py, pw), (_, qy, qw) = H[p], H[q]
-        if py * qw == qy * pw:  # p and q at one height
-            raise _Degenerate
-        if py * qw > qy * pw:
-            p, q = q, p
-        lower.append(p)
-        upper.append(q)
+    for i, p in enumerate(lower):
         starts[p].append(i)
 
     lines = [geo._wedge(H[p], H[q]) for p, q in zip(lower, upper)]
@@ -197,8 +202,6 @@ def _sweep_crossings(S: PointSet, points: tuple[int, ...],
         i, j = status[k - 1], status[k]
         a, b, c, d = lower[i], upper[i], lower[j], upper[j]
         if a == c or a == d or b == c or b == d:
-            if side(i, H[c]) == side(i, H[d]) == 0:
-                raise _Degenerate
             return
         s1, s2, s3, s4 = side(j, H[a]), side(j, H[b]), side(i, H[c]), side(i, H[d])
         if s1 * s2 > 0 or s3 * s4 > 0:
@@ -335,10 +338,17 @@ def decide_upse(G: Digraph, S: PointSet,
             ends = placed & -placed | 1 << placed.bit_length() - 1
             for w, size in edges:
                 a = own[w]
-                if a + (a & -a) & a:  # not one run: test the other side
+                if a + (a & -a) & a:  # not one run: the other side is one
+                    # In every state the search reaches, each edge has a
+                    # side whose placed points form one run. By induction:
+                    # the new point extends the placed run at one end, E. A
+                    # side that gains it and was empty, or one run reaching
+                    # E, is still one run; else if the other side was one
+                    # run, it did not change. Else the gaining side was the
+                    # one run that fit, not complete (it gains a point) and
+                    # not reaching E, so it reached the other end, and the
+                    # other side was one run after all.
                     a, size = placed ^ a, n - size
-                    if a + (a & -a) & a:
-                        return False
                 if a and not a & ends and a.bit_count() != size:
                     return False
             return True
@@ -355,9 +365,9 @@ def decide_upse(G: Digraph, S: PointSet,
 
     # memo[a * n + q] for each tested point pair (a, q): [its side mask, the
     # arc ids still open against it (untested, or known to cross it), those
-    # known to cross it, its own id or -1]. A pair gets the next id when an
-    # arc is first drawn there; ends[id] = (id, a, q, side mask), and drawn
-    # holds the ids of the arcs on the stack
+    # known to cross it, its own id or -1]. A pair gets the next id when its
+    # arc first passes the crossing test; ends[id] = (id, a, q, side mask),
+    # and drawn holds the ids of the arcs on the stack
     memo: dict[int, list[int]] = {}
     ends: list[tuple[int, int, int, int]] = []
     drawn = 0
@@ -369,8 +379,9 @@ def decide_upse(G: Digraph, S: PointSet,
 
     def arcs_into(v: int, q: int, drawn: int) -> int:
         # the ids of the arcs into v at point q, or -1 if one of them crosses
-        # a drawn arc; a drawn id is tested against a pair at most once
-        ids, unnamed = 0, False
+        # a drawn arc; a drawn id is tested against a pair at most once, and
+        # a pair is named when its arc first passes
+        ids = 0
         for u in in_nb[v]:
             a = point_of[u]
             e = memo.get(a * n + q)
@@ -398,24 +409,17 @@ def decide_upse(G: Digraph, S: PointSet,
                             return -1
                 e[1] ^= fresh
             if e[3] < 0:
-                unnamed = True
-            else:
-                ids |= 1 << e[3]
-        if unnamed:
-            for u in in_nb[v]:
-                e = memo[point_of[u] * n + q]
-                if e[3] < 0:
-                    e[3] = len(ends)
-                    ends.append((e[3], point_of[u], q, e[0]))
-                    ids |= 1 << e[3]
+                e[3] = len(ends)
+                ends.append((e[3], a, q, e[0]))
+            ids |= 1 << e[3]
         return ids
 
-    # the vertices placed on the lowest points so far, and for each depth the
-    # rank of the last candidate tried on that depth's point: an explicit stack
-    placed: list[int] = []
-    tried = [-1]
-    while tried and len(placed) < n:
-        q, r = order[len(placed)], tried[-1]
+    # an explicit stack: the rank and the arc ids of the vertex placed on each
+    # of the lowest points so far; r is the rank last tried on the next point
+    stack: list[tuple[int, int]] = []
+    r = -1
+    while len(stack) < n:
+        q = order[len(stack)]
         while above := ready >> (r + 1):  # the next ready vertex by rank
             r += (above & -above).bit_length()
             v = by_pressure[r]
@@ -427,7 +431,7 @@ def decide_upse(G: Digraph, S: PointSet,
             # the window rule reads only its own state: ask it before drawing
             if pruned:
                 flip(v, q)
-                if not fits(len(placed) + 1):
+                if not fits(len(stack) + 1):
                     flip(v, q)
                     continue
             drawn |= ids
@@ -437,28 +441,24 @@ def decide_upse(G: Digraph, S: PointSet,
                 remaining_in[w] -= 1
                 if not remaining_in[w]:
                     ready |= 1 << rank[w]
-            placed.append(v)
-            tried[-1] = r
-            tried.append(-1)
+            stack.append((r, ids))
+            r = -1
             break
         else:  # every candidate failed: backtrack one point
-            tried.pop()
-            if placed:
-                v = placed.pop()
-                q = point_of[v]
-                if pruned:
-                    flip(v, q)
-                for u in in_nb[v]:
-                    drawn ^= 1 << memo[point_of[u] * n + q][3]
-                for w in out_nb[v]:
-                    if not remaining_in[w]:
-                        ready ^= 1 << rank[w]
-                    remaining_in[w] += 1
-                ready |= 1 << rank[v]
-                point_of[v] = -1
+            if not stack:
+                return DecideResult("not_embeddable", None, nodes)
+            r, ids = stack.pop()
+            v = by_pressure[r]
+            if pruned:
+                flip(v, point_of[v])
+            drawn ^= ids
+            for w in out_nb[v]:
+                if not remaining_in[w]:
+                    ready ^= 1 << rank[w]
+                remaining_in[w] += 1
+            ready |= 1 << r
+            point_of[v] = -1
 
-    if len(placed) < n:
-        return DecideResult("not_embeddable", None, nodes)
     memo.clear()  # free the search's memory before the final check
     m = Mapping(tuple(point_of))
     bad = verify_upse(G, S, m)

@@ -2,7 +2,7 @@
 gadget bundles. Coordinates are exact: integers stay integers, everything else
 becomes a "p/q" string in lowest terms. All load-side problems, including a
 zero denominator, and every failure to write an output file surface as
-FormatError.
+FormatError, also a number past Python's integer string limit either way.
 """
 
 from __future__ import annotations
@@ -31,7 +31,10 @@ def rational_from_json(v: Any) -> Fraction:
         m = _RATIONAL.fullmatch(v)
         if not m:
             raise FormatError(f"malformed rational {v!r}")
-        num, den = int(m.group(1)), int(m.group(2))
+        try:
+            num, den = int(m.group(1)), int(m.group(2))
+        except ValueError as exc:  # past Python's integer string limit
+            raise FormatError(f"rational of {len(v)} characters: {exc}") from exc
         if den == 0:
             raise FormatError(f"zero denominator in {v!r}")
         return Fraction(num, den)
@@ -48,7 +51,10 @@ def int_from_json(v: Any) -> int:
 def rational_to_json(f: Fraction) -> int | str:
     if f.denominator == 1:
         return int(f)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:  # past Python's integer string limit
+        raise FormatError(f"cannot write a rational: {exc}") from exc
 
 
 def points_from_obj(obj: Any) -> PointSet:
@@ -162,6 +168,8 @@ def _load(path: str) -> Any:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # a number past Python's integer string limit, or bad UTF-8
+        raise FormatError(f"cannot read {path}: {exc}") from exc
 
 
 def write_text(path: str, text: str) -> None:
@@ -174,7 +182,11 @@ def write_text(path: str, text: str) -> None:
 
 
 def _dump(obj: dict, path: str) -> None:
-    write_text(path, json.dumps(obj, indent=2) + "\n")
+    try:
+        text = json.dumps(obj, indent=2) + "\n"
+    except ValueError as exc:  # an integer past Python's integer string limit
+        raise FormatError(f"cannot write {path}: {exc}") from exc
+    write_text(path, text)
 
 
 def read_points(path: str) -> PointSet:

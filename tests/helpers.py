@@ -145,14 +145,17 @@ class _OutOfBudget(Exception):
 
 
 def reference_search(G: Digraph, S: PointSet, prune: bool = True,
-                     budget: int | None = None) -> tuple[str, int, tuple | None]:
+                     budget: int | None = None,
+                     watch=None) -> tuple[str, int, tuple | None]:
     """decide_upse as a plain recursive search: (result, nodes explored,
     assignment or None). The same candidate order (points bottom to top, ready
     vertices by most in-arcs, then index) and the same budget rule (a node
     past the budget is never counted), but every new arc is tested against
     every drawn one with segments_cross on Points, with no memo, and the
     window rule is checked on sets for every tree edge after each placement.
-    S must be in general position."""
+    S must be in general position. watch, if given, is called with one side
+    of each tree edge and the assignment (None for a free vertex) whenever the
+    window rule is asked about a placement."""
     n = G.n
     if not nx.is_directed_acyclic_graph(nx.DiGraph(list(G.arcs))):
         return "not_embeddable", 0, None
@@ -176,6 +179,8 @@ def reference_search(G: Digraph, S: PointSet, prune: bool = True,
     def windows_fit() -> bool:
         if not sides:
             return True
+        if watch:
+            watch(sides, point_of)
         placed = {pos[p] for p in point_of if p is not None}
         for side in sides:
             mine = {pos[point_of[v]] for v in side if point_of[v] is not None}

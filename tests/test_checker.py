@@ -18,8 +18,8 @@ from upse import (Digraph, Mapping, NotGeneralPosition, Orientation,
                   is_general_position, orientation, pt, segments_cross,
                   verify_upse)
 
-from helpers import (brute_force_embeddable, circle_point, pairwise_violations,
-                     random_convex, random_dag, random_general,
+from helpers import (brute_force_embeddable, circle_point, jarvis_hull,
+                     pairwise_violations, random_convex, random_dag, random_general,
                      random_switch_tree, random_tree_dag, reference_search)
 
 
@@ -232,10 +232,52 @@ class TestSweepAgainstPairwiseOracle:
         S = PointSet([pt(0, 0), pt(1, 1), pt(2, 2)])
         m = Mapping((0, 1, 2))
         with pytest.raises(checker._Degenerate):
-            checker._sweep_crossings(S, m.assignment, [(0, 1), (0, 2)])
+            checker._sweep_crossings(S, m.assignment, [0, 0], [1, 2])
         assert [(v.kind.value, v.subjects) for v in verify_upse(G, S, m)] == [
             ("arcs_cross", (0, 1)), ("vertex_on_arc", (1, 1))]
         assert verify_upse(G, S, m) == pairwise_violations(G, S, m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(drawings())
+    def test_shared_points_and_flat_arcs_skip_the_sweep(self, drawing):
+        # verify_upse sends these to the pairwise loops before any sweep; a
+        # drawing with neither gets two vertices on one point
+        G, S, m = drawing
+        a = list(m.assignment)
+        flat = any(S[a[t]].y == S[a[h]].y for t, h in G.arcs)
+        if not flat and len(set(a)) == G.n:
+            a[-1] = a[0]
+        event("a flat arc" if flat else "a shared point")
+        m = Mapping(tuple(a))
+
+        def sweep(*args):
+            raise AssertionError("swept a drawing with a shared point or a flat arc")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(checker, "_sweep_crossings", sweep)
+            assert verify_upse(G, S, m) == pairwise_violations(G, S, m)
+
+    def test_falling_arcs_are_swept_from_their_heads(self, monkeypatch):
+        # the only fault is arcs that fall; the sweep reports their crossings
+        def pairwise(*args):
+            raise AssertionError("fell back to the pairwise loops")
+        monkeypatch.setattr(checker, "_pairwise", pairwise)
+        G = Digraph(list("abcd"), [(1, 0), (3, 2)])
+        S = PointSet([pt(0, 0), pt(2, 2), pt(2, 0), pt(0, 2)])
+        m = Mapping((0, 1, 2, 3))
+        assert [(v.kind.value, v.subjects) for v in verify_upse(G, S, m)] == [
+            ("arc_not_upward", (0,)), ("arc_not_upward", (1,)), ("arcs_cross", (0, 1))]
+        assert verify_upse(G, S, m) == pairwise_violations(G, S, m)
+        rng = random.Random(23)
+        for _ in range(30):
+            n = rng.randrange(2, 30)
+            T = random_switch_tree(rng, n)
+            S = random_convex(rng, n, rng.choice(("left", "right", "mixed")))
+            R = Digraph(T.vertices, [(h, t) for t, h in T.arcs])
+            a = list(embed_switch_tree(T, S).assignment)
+            i, j = rng.sample(range(n), 2)
+            a[i], a[j] = a[j], a[i]
+            m = Mapping(tuple(a))
+            assert verify_upse(R, S, m) == pairwise_violations(R, S, m)
 
     def test_general_position_drawings_never_fall_back(self, monkeypatch):
         def pairwise(*args):
@@ -564,6 +606,50 @@ class TestWindowRule:
     def test_counterexample_is_pinned(self, n, nodes):
         res = decide_upse(gen_binucci_tree(n), gen_binucci_pointset(n))
         assert (res.result, res.nodes_explored) == ("not_embeddable", nodes)
+
+
+@st.composite
+def small_convex_trees(draw):
+    """A random tree DAG with at most 12 vertices on a mixed, left or right
+    convex set, or a k-switch member at n = 5 (the counterexample when k = 4)
+    on its own point set or a random convex one."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    kind = draw(st.sampled_from(("mixed", "left", "right")))
+    if draw(st.booleans()):
+        G = random_tree_dag(rng, draw(st.integers(3, 12)))
+        return G, random_convex(rng, G.n, kind)
+    G = gen_kswitch_tree(5, draw(st.integers(2, 4)))
+    return G, gen_binucci_pointset(5) if draw(st.booleans()) else random_convex(rng, G.n, kind)
+
+
+class TestOneRunInvariant:
+    """fits tests only one side of an edge for being one run, because in every
+    state the search reaches some side of every tree edge is one run of hull
+    positions counted from the top point: checked on every placement the
+    window rule of tests/helpers.reference_search is asked about."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_convex_trees())
+    def test_some_side_of_every_edge_is_one_run(self, instance):
+        G, S = instance
+        n = G.n
+        hull = jarvis_hull(list(S.points))
+        top = hull.index(max(range(n), key=lambda p: (S[p].y, S[p].x)))
+        pos = {p: (k - top) % n for k, p in enumerate(hull)}
+        asked = []
+
+        def one_run(part, point_of) -> bool:
+            got = {pos[point_of[v]] for v in part if point_of[v] is not None}
+            return not got or max(got) - min(got) + 1 == len(got)
+
+        def watch(sides, point_of):
+            asked.append(True)
+            for side in sides:
+                assert one_run(side, point_of) or \
+                    one_run(set(range(n)) - side, point_of), (side, point_of)
+
+        event(reference_search(G, S, True, 2000, watch)[0])
+        assert asked
 
 
 class TestScale:

@@ -1,12 +1,13 @@
 """JSON round trips and malformed-input rejection for every file kind."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 
 from upse import (Digraph, FormatError, Mapping, PartitionInstance, Point,
-                  PointSet, gen_gadget)
+                  PointSet, gen_gadget, pt)
 from upse.checker import DecideResult
 from upse.fileio import (decide_result_to_obj, gadget_from_obj, gadget_to_obj,
                          graph_from_obj, graph_to_obj, mapping_from_obj,
@@ -85,6 +86,46 @@ class TestPoints:
         path = tmp_path / "broken.json"
         path.write_text("{points: oops")
         with pytest.raises(FormatError, match="not valid JSON"):
+            read_points(str(path))
+
+
+# Python's cap on the digits of an integer read from or written as a string;
+# 0 (no cap) on an interpreter that sets none
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+beyond_limit = pytest.mark.skipif(not LIMIT, reason="no integer string limit")
+
+
+class TestIntegerStringLimit:
+    """Numbers past the interpreter's integer string limit surface as
+    FormatError on reading and on writing, like every other file problem."""
+
+    @beyond_limit
+    def test_rational_string_past_the_limit(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_text(json.dumps({"points": [[0, 0], [1, "1" + "0" * LIMIT + "/1"],
+                                               [2, 3]]}))
+        with pytest.raises(FormatError, match="limit"):
+            read_points(str(path))
+
+    @beyond_limit
+    def test_json_number_past_the_limit(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_text('{"points": [[0, 0], [1, 1' + "0" * LIMIT + "], [2, 3]]}")
+        with pytest.raises(FormatError, match="limit"):
+            read_points(str(path))
+
+    @beyond_limit
+    @pytest.mark.parametrize("x", [Fraction(10 ** LIMIT), Fraction(10 ** LIMIT + 1, 3)])
+    def test_writing_a_coordinate_past_the_limit(self, tmp_path, x):
+        path = tmp_path / "pts.json"
+        with pytest.raises(FormatError, match="limit"):
+            write_points(str(path), PointSet([Point(x, Fraction(0)), pt(1, 2), pt(3, 5)]))
+        assert not path.exists()
+
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "pts.json"
+        path.write_bytes(b'{"points": [[0, 0], [1, \xff]]}')
+        with pytest.raises(FormatError, match="cannot read"):
             read_points(str(path))
 
 
