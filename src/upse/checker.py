@@ -95,10 +95,7 @@ class Violation:
 
 def verify_upse(G: Digraph, S: PointSet, m: Mapping) -> list[Violation]:
     """Return all violations of the drawing; an empty list means it is valid."""
-    if len(m) != G.n:
-        raise SizeMismatch(f"mapping covers {len(m)} of {G.n} vertices")
-    if any(p >= len(S) for p in m.assignment):
-        raise SizeMismatch("mapping refers to a point index out of range")
+    m.require_fit(G, S)
     out: list[Violation] = []
 
     seen: dict[int, int] = {}

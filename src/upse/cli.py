@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import fileio
 from .checker import SolverOptions, decide_upse, verify_upse
@@ -24,16 +25,18 @@ from .render import RenderSpec, render_svg
 
 
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, indent=2) + "\n"
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(obj, indent=2) + "\n")
     else:
-        fileio.write_text(out, text)
+        fileio.write_json(out, obj)
+
+
+def _read(args):
+    return fileio.read_graph(args.graph), fileio.read_points(args.points)
 
 
 def _cmd_embed(args) -> int:
-    G = fileio.read_graph(args.graph)
-    S = fileio.read_points(args.points)
+    G, S = _read(args)
     m = embed_switch_tree(G, S)
     bad = verify_upse(G, S, m)
     if bad:
@@ -43,8 +46,7 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_decide(args) -> int:
-    G = fileio.read_graph(args.graph)
-    S = fileio.read_points(args.points)
+    G, S = _read(args)
     budget = args.budget
     if budget is None:
         env = os.environ.get("UPSE_NODE_BUDGET")
@@ -56,25 +58,17 @@ def _cmd_decide(args) -> int:
     res = decide_upse(G, S, SolverOptions(use_consecutive_pruning=args.prune,
                                           node_budget=budget))
     _emit(fileio.decide_result_to_obj(res, G), args.out)
-    if res.result == "embeddable":
-        return 0
-    if res.result == "not_embeddable":
-        return 1
-    return 3
+    return {"embeddable": 0, "not_embeddable": 1, "budget_exhausted": 3}[res.result]
 
 
 def _cmd_verify(args) -> int:
-    G = fileio.read_graph(args.graph)
-    S = fileio.read_points(args.points)
+    G, S = _read(args)
     m = fileio.read_mapping(args.mapping, G)
     violations = verify_upse(G, S, m)
-    if not violations:
-        _emit({"valid": True, "violations": []}, args.out)
-        return 0
-    _emit({"valid": False,
+    _emit({"valid": not violations,
            "violations": [{"kind": v.kind.value, "detail": v.detail}
                           for v in violations]}, args.out)
-    return 1
+    return 1 if violations else 0
 
 
 def _cmd_generate(args) -> int:
@@ -102,11 +96,7 @@ def _cmd_render(args) -> int:
         if G is None:
             raise FormatError("--mapping requires --graph")
         m = fileio.read_mapping(args.mapping, G)
-        if any(p >= len(S) for p in m.assignment):
-            raise FormatError("mapping refers to point indices outside the point set")
-    spec = RenderSpec(width=args.width, height=args.height, margin=args.margin,
-                      vertex_radius=args.vertex_radius, arrow_size=args.arrow_size,
-                      labels=args.labels)
+    spec = RenderSpec(**{f.name: getattr(args, f.name) for f in fields(RenderSpec)})
     fileio.write_text(args.out, render_svg(S, G, m, spec))
     return 0
 
@@ -116,28 +106,25 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="upse",
         description="Upward planar straight-line embeddings of digraphs into point sets.")
     sub = top.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # embed, decide and verify
+    common.add_argument("--graph", required=True)
+    common.add_argument("--points", required=True)
+    common.add_argument("--out", default=None, help="output JSON (default: stdout)")
 
-    p = sub.add_parser("embed", help="embed a switch tree into a convex point set")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--points", required=True)
-    p.add_argument("--out", default=None, help="mapping JSON (default: stdout)")
+    p = sub.add_parser("embed", parents=[common],
+                       help="embed a switch tree into a convex point set")
     p.set_defaults(fn=_cmd_embed)
 
-    p = sub.add_parser("decide", help="exhaustively decide embeddability")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--points", required=True)
-    p.add_argument("--out", default=None, help="result JSON (default: stdout)")
+    p = sub.add_parser("decide", parents=[common], help="exhaustively decide embeddability")
     p.add_argument("--prune", action=argparse.BooleanOptionalAction, default=True,
                    help="consecutive-arc pruning on trees over convex sets")
     p.add_argument("--budget", type=int, default=None,
                    help="node budget (default: UPSE_NODE_BUDGET if set)")
     p.set_defaults(fn=_cmd_decide)
 
-    p = sub.add_parser("verify", help="check a mapping against the three conditions")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--points", required=True)
+    p = sub.add_parser("verify", parents=[common],
+                       help="check a mapping against the three conditions")
     p.add_argument("--mapping", required=True)
-    p.add_argument("--out", default=None, help="report JSON (default: stdout)")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("generate", help="generate named instance families")
@@ -163,12 +150,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None)
     p.add_argument("--mapping", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--width", type=int, default=800)
-    p.add_argument("--height", type=int, default=600)
-    p.add_argument("--margin", type=int, default=40)
-    p.add_argument("--vertex-radius", type=int, default=4)
-    p.add_argument("--arrow-size", type=int, default=10)
-    p.add_argument("--labels", action="store_true")
+    for f in fields(RenderSpec):  # --width ... --labels, defaults from RenderSpec
+        flag = "--" + f.name.replace("_", "-")
+        if f.default is False:
+            p.add_argument(flag, action="store_true")
+        else:
+            p.add_argument(flag, type=int, default=f.default)
     p.set_defaults(fn=_cmd_render)
 
     return top

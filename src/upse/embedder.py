@@ -60,6 +60,13 @@ class Mapping:
     def __len__(self) -> int:
         return len(self.assignment)
 
+    def require_fit(self, G: Digraph, S: PointSet) -> None:
+        """Raise SizeMismatch unless this places every vertex of G on a point of S."""
+        if len(self) != G.n:
+            raise SizeMismatch(f"mapping covers {len(self)} of {G.n} vertices")
+        if any(p >= len(S) for p in self.assignment):
+            raise SizeMismatch("mapping refers to a point index out of range")
+
     def to_labels(self, G: Digraph) -> dict[str, int]:
         return {G.vertices[v]: p for v, p in enumerate(self.assignment)}
 

@@ -1,9 +1,10 @@
 """Deterministic SVG rendering of point sets and drawings.
 
-The affine fit from data coordinates to the canvas is computed in exact
-rational arithmetic; numbers become decimals (6 significant digits) only when
-written into the SVG text. Arrowheads are serialization-stage cosmetics and
-use floating point.
+The affine fit from data coordinates to the canvas is computed once, in exact
+rational arithmetic: one scale for both axes and one offset per axis. Each
+coordinate then becomes one float, which is written into the SVG text as a
+decimal of 6 significant digits. Arrowheads are serialization-stage cosmetics
+and use floating point.
 """
 
 from __future__ import annotations
@@ -48,27 +49,25 @@ def render_svg(S: PointSet, G: Digraph | None = None,
                m: Mapping | None = None,
                spec: RenderSpec | None = None) -> str:
     """Render the points, plus straight arrows for the arcs when a graph and a
-    mapping are supplied."""
+    mapping are supplied; the mapping must place every vertex on a point of S
+    (SizeMismatch otherwise)."""
     spec = spec or RenderSpec()
+    drawing = G is not None and m is not None
+    if drawing:
+        m.require_fit(G, S)
     xs = [p.x for p in S.points]
     ys = [p.y for p in S.points]
-    minx, maxx = min(xs), max(xs)
-    miny, maxy = min(ys), max(ys)
-    spanx = maxx - minx
-    spany = maxy - miny
-    availw = Fraction(spec.width - 2 * spec.margin)
-    availh = Fraction(spec.height - 2 * spec.margin)
-    scales = [availw / spanx if spanx else None, availh / spany if spany else None]
-    candidates = [s for s in scales if s is not None]
-    scale = min(candidates) if candidates else Fraction(1)
-
-    def place(p) -> tuple[Fraction, Fraction]:
-        # center the fitted bounding box; SVG y grows downward
-        cx = Fraction(spec.width) / 2 + (p.x - (minx + maxx) / 2) * scale
-        cy = Fraction(spec.height) / 2 - (p.y - (miny + maxy) / 2) * scale
-        return cx, cy
-
-    fitted = [place(p) for p in S.points]
+    lox, hix, loy, hiy = min(xs), max(xs), min(ys), max(ys)
+    # the largest scale that fits the bounding box into the margins, centred;
+    # SVG y grows downward
+    spans = [(spec.width - 2 * spec.margin, hix - lox),
+             (spec.height - 2 * spec.margin, hiy - loy)]
+    scale = min((Fraction(avail) / span for avail, span in spans if span),
+                default=Fraction(1))
+    offx = Fraction(spec.width, 2) - Fraction(lox + hix, 2) * scale
+    offy = Fraction(spec.height, 2) + Fraction(loy + hiy, 2) * scale
+    fitted = [(float(x * scale + offx), float(offy - y * scale))
+              for x, y in zip(xs, ys)]
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
@@ -76,23 +75,22 @@ def render_svg(S: PointSet, G: Digraph | None = None,
         f'<rect width="{spec.width}" height="{spec.height}" fill="white"/>',
     ]
 
-    if G is not None and m is not None:
+    if drawing:
         for t, h in G.arcs:
             x1, y1 = fitted[m[t]]
             x2, y2 = fitted[m[h]]
-            fx1, fy1, fx2, fy2 = map(float, (x1, y1, x2, y2))
-            dx, dy = fx2 - fx1, fy2 - fy1
+            dx, dy = x2 - x1, y2 - y1
             norm = math.hypot(dx, dy) or 1.0
             ux, uy = dx / norm, dy / norm
             # pull the tip back to the vertex circle's edge
-            tipx = fx2 - ux * spec.vertex_radius
-            tipy = fy2 - uy * spec.vertex_radius
+            tipx = x2 - ux * spec.vertex_radius
+            tipy = y2 - uy * spec.vertex_radius
             bx = tipx - ux * spec.arrow_size
             by = tipy - uy * spec.arrow_size
             half = spec.arrow_size / 2.5
             px, py = -uy * half, ux * half
             lines.append(
-                f'<line x1="{_fmt(fx1)}" y1="{_fmt(fy1)}" '
+                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
                 f'x2="{_fmt(tipx)}" y2="{_fmt(tipy)}" '
                 'stroke="#333333" stroke-width="1.5"/>')
             lines.append(
@@ -102,18 +100,18 @@ def render_svg(S: PointSet, G: Digraph | None = None,
 
     for cx, cy in fitted:
         lines.append(
-            f'<circle cx="{_fmt(float(cx))}" cy="{_fmt(float(cy))}" '
+            f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
             f'r="{spec.vertex_radius}" fill="#4682b4" stroke="#1c3d5a"/>')
 
     if spec.labels:
         names = [str(i) for i in range(len(S))]
-        if G is not None and m is not None:
+        if drawing:
             for v, p in enumerate(m.assignment):
                 names[p] = G.vertices[v]
         for (cx, cy), name in zip(fitted, names):
             lines.append(
-                f'<text x="{_fmt(float(cx) + spec.vertex_radius + 2)}" '
-                f'y="{_fmt(float(cy) - spec.vertex_radius)}" '
+                f'<text x="{_fmt(cx + spec.vertex_radius + 2)}" '
+                f'y="{_fmt(cy - spec.vertex_radius)}" '
                 f'font-size="11" font-family="sans-serif">{_escape(name)}</text>')
 
     lines.append("</svg>")

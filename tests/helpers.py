@@ -10,8 +10,8 @@ from math import gcd
 
 import networkx as nx
 
-from upse import (Digraph, Mapping, Point, PointSet, SideSplit, Violation,
-                  ViolationKind, convex_hull, gadget_base_points,
+from upse import (Digraph, Mapping, Point, PointSet, RenderSpec, SideSplit,
+                  Violation, ViolationKind, convex_hull, gadget_base_points,
                   is_general_position, point_right_of_line, pt, segments_cross,
                   verify_upse)
 
@@ -172,6 +172,9 @@ def reference_search(G: Digraph, S: PointSet, prune: bool = True,
             U.add_edge(x, y)
             sides.append(side)
     pos = {p: k for k, p in enumerate(hull)}
+    # the n windows of each side's size, built once: positions s, s+1, ... mod n
+    windows = {size: [{(s + i) % n for i in range(size)} for s in range(n)]
+               for size in {len(side) for side in sides}}
     point_of: list[int | None] = [None] * n
     drawn: list[tuple[Point, Point]] = []
     nodes = 0
@@ -184,8 +187,7 @@ def reference_search(G: Digraph, S: PointSet, prune: bool = True,
         placed = {pos[p] for p in point_of if p is not None}
         for side in sides:
             mine = {pos[point_of[v]] for v in side if point_of[v] is not None}
-            if not any({(s + i) % n for i in range(len(side))} & placed == mine
-                       for s in range(n)):
+            if not any(w & placed == mine for w in windows[len(side)]):
                 return False
         return True
 
@@ -529,3 +531,26 @@ def walk_decompose(G: Digraph, u: int) -> list[tuple[frozenset[int], int, bool]]
                     queue.append(w)
         out.append((frozenset(seen - {u}), c, c in G.in_neighbors[u]))
     return out
+
+
+def canvas_positions(S: PointSet, spec: RenderSpec) -> list[tuple[Fraction, Fraction]]:
+    """The exact canvas position of every point, fitted point by point: the
+    bounding box scaled as large as the margins allow and centred, y flipped."""
+    xs = [p.x for p in S.points]
+    ys = [p.y for p in S.points]
+    minx, maxx = min(xs), max(xs)
+    miny, maxy = min(ys), max(ys)
+    spanx = maxx - minx
+    spany = maxy - miny
+    availw = Fraction(spec.width - 2 * spec.margin)
+    availh = Fraction(spec.height - 2 * spec.margin)
+    scales = [availw / spanx if spanx else None, availh / spany if spany else None]
+    candidates = [s for s in scales if s is not None]
+    scale = min(candidates) if candidates else Fraction(1)
+
+    def place(p) -> tuple[Fraction, Fraction]:
+        cx = Fraction(spec.width) / 2 + (p.x - Fraction(minx + maxx, 2)) * scale
+        cy = Fraction(spec.height) / 2 - (p.y - Fraction(miny + maxy, 2)) * scale
+        return cx, cy
+
+    return [place(p) for p in S.points]

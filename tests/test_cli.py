@@ -317,7 +317,20 @@ class TestRender:
                  {"mapping": {"r": 0, "a": 1, "b": 2, "c": 3}})
         assert main(["render", "--points", s, "--graph", g,
                      "--mapping", m, "--out", str(tmp_path / "x.svg")]) == 2
-        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "FormatError"
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "SizeMismatch"
+
+    def test_verify_and_render_refuse_a_mapping_alike(self, tmp_path, capsys):
+        g, _ = star_files(tmp_path)
+        s = dump(tmp_path, "s2.json", {"points": [[0, 0], [4, 1]]})
+        m = dump(tmp_path, "m.json",
+                 {"mapping": {"r": 0, "a": 1, "b": 2, "c": 3}})
+        errors = []
+        for argv in (["verify", "--graph", g, "--points", s, "--mapping", m],
+                     ["render", "--points", s, "--graph", g, "--mapping", m,
+                      "--out", str(tmp_path / "x.svg")]):
+            assert main(argv) == 2
+            errors.append(json.loads(capsys.readouterr().err))
+        assert errors[0] == errors[1]
 
 
 def unwritable_out_argv(command, tmp_path):

@@ -1,10 +1,13 @@
 """JSON round trips and malformed-input rejection for every file kind."""
 
+import copy
 import json
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from upse import (Digraph, FormatError, Mapping, PartitionInstance, Point,
                   PointSet, gen_gadget, pt)
@@ -252,3 +255,63 @@ class TestGadgetBundles:
         obj["instance"]["A"] = [2] * 6
         with pytest.raises(FormatError):
             gadget_from_obj(obj)
+
+
+_G = Digraph(["a", "b", "c"], [(0, 1), (1, 2)])
+READERS = {
+    "points": (points_from_obj,
+               points_to_obj(PointSet([pt(0, 0), pt("7/2", "1/3"), pt(-1, 5)]))),
+    "graph": (graph_from_obj, graph_to_obj(_G)),
+    "mapping": (lambda obj: mapping_from_obj(obj, _G),
+                mapping_to_obj(Mapping((2, 0, 1)), _G)),
+    "gadget": (gadget_from_obj, gadget_to_obj(gen_gadget(PartitionInstance(3, (1,) * 6)))),
+}
+LEAVES = (0, 1, -1, 3, 10 ** 30, True, False, 0.5, -2.0, float("inf"), None,
+          "", "a", "0/0", "1/2", "-3/4", "x/y", [], [0], [0, 1], ["a", "b"],
+          [[0, 0]], {}, {"a": 0}, {"points": []})
+
+
+def _positions(obj, at=()):
+    """The path of keys and indices to every value inside obj."""
+    items = obj.items() if isinstance(obj, dict) else \
+        enumerate(obj) if isinstance(obj, list) else ()
+    out = []
+    for key, value in items:
+        out.append(at + (key,))
+        out += _positions(value, at + (key,))
+    return out
+
+
+@st.composite
+def damaged_objects(draw):
+    """A valid object of one file kind with one or two values inside it
+    replaced by a leaf of another shape, or deleted."""
+    kind = draw(st.sampled_from(sorted(READERS)))
+    obj = copy.deepcopy(READERS[kind][1])
+    for _ in range(draw(st.integers(1, 2))):
+        where = _positions(obj)
+        if not where:
+            break
+        *up, last = draw(st.sampled_from(where))
+        parent = obj
+        for key in up:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = copy.deepcopy(draw(st.sampled_from(LEAVES)))
+    return kind, obj
+
+
+class TestDamagedObjectsRaiseOnlyFormatError:
+    """Every reader either returns or raises FormatError, whatever one or two
+    values inside a valid object turn into."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(damaged_objects())
+    def test_reader_returns_or_raises_format_error(self, case):
+        kind, obj = case
+        try:
+            READERS[kind][0](obj)
+        except FormatError:
+            pass

@@ -6,11 +6,13 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from upse import (Digraph, Mapping, Point, PointSet, RenderSpec,
-                  embed_switch_tree, render_svg)
+from upse import (Digraph, Mapping, Point, PointSet, RenderSpec, SizeMismatch,
+                  embed_switch_tree, render_svg, verify_upse)
 
-from helpers import random_convex, random_switch_tree
+from helpers import canvas_positions, random_convex, random_switch_tree
 
 NUMBER = re.compile(r"-?\d+\.?\d*(?:e[+-]?\d+)?")
 
@@ -144,3 +146,79 @@ class TestPrecisionAndFit:
         spanx = max(xs) - min(xs)
         spany = max(ys) - min(ys)
         assert spanx == pytest.approx(2 * spany, rel=1e-4)
+
+
+class TestMappingFit:
+    """A mapping that does not place every vertex on a point of the set is
+    refused as verify_upse refuses it, before anything is drawn."""
+
+    @pytest.mark.parametrize("G, assignment", [
+        (Digraph(["a", "b", "c"], [(0, 1), (1, 2)]), (0, 1)),     # too short
+        (fan_graph(), (0, 1, 2, 3, 0)),                           # too long
+        (Digraph(["a", "b", "c"], [(0, 1), (1, 2)]), (0, 1, 4)),  # past the set
+        (fan_graph(), (0, 1, 2, 9)),
+    ])
+    def test_refused_like_verify(self, G, assignment):
+        m = Mapping(assignment)
+        with pytest.raises(SizeMismatch) as drawn:
+            render_svg(fan_points(), G, m)
+        with pytest.raises(SizeMismatch) as verified:
+            verify_upse(G, fan_points(), m)
+        assert str(drawn.value) == str(verified.value)
+
+
+SPECS = (RenderSpec(labels=True),
+         RenderSpec(width=640, height=480, margin=30, vertex_radius=5, arrow_size=8,
+                    labels=True),
+         RenderSpec(width=123, height=977, margin=7, vertex_radius=1, arrow_size=3,
+                    labels=True))
+
+
+@st.composite
+def fit_cases(draw):
+    """A point set of 1 to 8 points, possibly with equal xs or equal ys, with
+    int or Fraction coordinates scaled by 10^0, 10^300 or 10^-300, and a spec."""
+    shape = draw(st.sampled_from(("free", "equal x", "equal y")))
+    coord = st.integers(-50, 50)
+    raw = set()
+    for _ in range(draw(st.integers(1, 8))):
+        x, y = draw(coord), draw(coord)
+        raw.add((7 if shape == "equal x" else x, -3 if shape == "equal y" else y))
+    scale = Fraction(10) ** draw(st.sampled_from((0, 300, -300)))
+    if scale.denominator == 1 and draw(st.booleans()):
+        k = int(scale)
+        pts = [(x * k, y * k) for x, y in raw]
+    else:
+        den = draw(st.integers(1, 9))
+        pts = [(Fraction(x, den) * scale, Fraction(y, den) * scale) for x, y in raw]
+    return PointSet(pts), draw(st.sampled_from(SPECS))
+
+
+def _fmt(v: float) -> str:
+    return f"{v:.6g}"
+
+
+class TestExactFit:
+    """Every circle and label sits where the exact fit puts it, rounded once."""
+
+    @staticmethod
+    def assert_fitted(S, spec):
+        svg = render_svg(S, spec=spec)
+        r = spec.vertex_radius
+        exact = [(float(cx), float(cy)) for cx, cy in canvas_positions(S, spec)]
+        assert re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', svg) == \
+            [(_fmt(cx), _fmt(cy)) for cx, cy in exact]
+        assert re.findall(r'<text x="([^"]+)" y="([^"]+)"', svg) == \
+            [(_fmt(cx + r + 2), _fmt(cy - r)) for cx, cy in exact]
+
+    def test_integer_coordinates_beyond_float_range(self):
+        self.assert_fitted(PointSet([(0, 0), (10 ** 400, 1), (3, 7)]), SPECS[0])
+
+    def test_integer_midpoints_beyond_two_to_the_53(self):
+        big = 2 ** 60
+        self.assert_fitted(PointSet([(big + 1, 0), (big + 4, 3), (big, 1)]), SPECS[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(fit_cases())
+    def test_matches_the_point_by_point_fit(self, case):
+        self.assert_fitted(*case)
