@@ -5,7 +5,8 @@ defining conditions: injectivity, every arc strictly rising in y, and no two
 arc segments intersecting except at a shared endpoint. It also reports a
 vertex point lying in the interior of some other arc's segment, which can
 only happen off general position. All arithmetic is exact, on geometry's
-homogeneous integers.
+homogeneous integers, and geometry does all of it: this module asks it for
+sides, rises, crossings and exact (y, x) keys and never reads a coordinate.
 
 verify_upse reads each arc once, as a segment from its lower end up (a
 falling arc from its head). A drawing with two vertices on one point or an
@@ -46,17 +47,19 @@ whose vertex then fails are never tested.
 On convex point sets and tree inputs an additional pruning rule applies:
 removing a tree edge splits the tree into two sides, and in every valid
 drawing each side occupies a window, a run of consecutive points along the
-hull cycle, of its own size. Points are filled bottom to top, so the placed
-points are always the k lowest: on a convex set, one run of the hull cycle
-around the bottom point, which never wraps when positions count from the top
-point. A side whose placed points form one run fits a window holding no other
-placed point iff they are the whole side, or they are empty or reach an end
-of the placed run: the free points beyond that end always make up the rest,
-since the other side's placed vertices number at most its size. The two
-sides of an edge fit complementary windows, so both fit or neither does, and
-a side whose placed points are not one run is tested through the other side.
-With the tree rooted once, each edge keeps its child side's placed positions
-as one bit mask, and a placement costs one O(1) test per edge.
+hull cycle, of its own size. The positions are those of the one hull cycle
+the point set caches (geometry._cycle), which starts at the top point.
+Points are filled bottom to top, so the placed points are always the k
+lowest: on a convex set, one run of that cycle around the bottom point,
+which never wraps since the cycle starts at the top. A side whose placed
+points form one run fits a window holding no other placed point iff they
+are the whole side, or they are empty or reach an end of the placed run:
+the free points beyond that end always make up the rest, since the other
+side's placed vertices number at most its size. The two sides of an edge
+fit complementary windows, so both fit or neither does, and a side whose
+placed points are not one run is tested through the other side. With the
+tree rooted once, each edge keeps its child side's placed positions as one
+bit mask, and a placement costs one O(1) test per edge.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cmp_to_key
 from heapq import heappop, heappush
 
@@ -114,12 +116,12 @@ def verify_upse(G: Digraph, S: PointSet, m: Mapping) -> list[Violation]:
     lower, upper, flat = [], [], False
     for a, (t, h) in enumerate(G.arcs):
         p, q = m[t], m[h]
-        (_, yt, wt), (_, yh, wh) = H[p], H[q]
-        if not yh * wt > yt * wh:
+        rise = geo._rise(H[p], H[q])
+        if rise <= 0:
             out.append(Violation(
                 ViolationKind.ARC_NOT_UPWARD, (a,),
                 f"arc {G.vertices[t]!r}->{G.vertices[h]!r} does not rise"))
-            flat = flat or yh * wt == yt * wh
+            flat = flat or not rise
             p, q = q, p
         lower.append(p)
         upper.append(q)
@@ -161,29 +163,26 @@ def _sweep_crossings(S: PointSet, points: tuple[int, ...], lower: list[int],
     Each point removes the segments that end there and inserts, sorted by
     direction, those that start there; segments that become neighbours are
     tested, and a proper crossing becomes an event at its exact homogeneous
-    point, where the two swap. Each segment's line is computed once, as
-    geo._wedge of its lower and upper end, so a side test is the sign of one
-    3-term dot product, which equals the orientation determinant exactly.
+    point, keyed by its geo._yx, where the two swap. Each segment's line is
+    computed once, as geo._wedge of its lower and upper end, so a side test
+    is one geo._side, the sign of one 3-term dot product, which equals the
+    orientation determinant exactly.
     Raises _Degenerate on two segments leaving one point along one line, a
     point inside a segment, neighbours that touch or overlap, or three
     segments through one crossing.
     """
-    pts, H = S.points, S._hom
+    H, side = S._hom, geo._side
     starts: dict[int, list[int]] = {p: [] for p in points}
     for i, p in enumerate(lower):
         starts[p].append(i)
 
+    # side(lines[i], r) is -1 when segment i passes left of r, 0 through
+    # it, 1 right of it
     lines = [geo._wedge(H[p], H[q]) for p, q in zip(lower, upper)]
-
-    def side(i: int, r: geo.Hom) -> int:
-        # -1 when segment i passes left of r, 0 through it, 1 right of it
-        (lx, ly, lw), (x, y, w) = lines[i], r
-        d = lx * x + ly * y + lw * w
-        return (d > 0) - (d < 0)
 
     def by_direction(i: int, j: int) -> int:
         # two segments leaving one point, left to right above it
-        s = side(i, H[upper[j]])
+        s = side(lines[i], H[upper[j]])
         if not s:
             raise _Degenerate
         return s
@@ -200,7 +199,8 @@ def _sweep_crossings(S: PointSet, points: tuple[int, ...], lower: list[int],
         a, b, c, d = lower[i], upper[i], lower[j], upper[j]
         if a == c or a == d or b == c or b == d:
             return
-        s1, s2, s3, s4 = side(j, H[a]), side(j, H[b]), side(i, H[c]), side(i, H[d])
+        li, lj = lines[i], lines[j]
+        s1, s2, s3, s4 = side(lj, H[a]), side(lj, H[b]), side(li, H[c]), side(li, H[d])
         if s1 * s2 > 0 or s3 * s4 > 0:
             return
         if not (s1 and s2 and s3 and s4):
@@ -209,12 +209,12 @@ def _sweep_crossings(S: PointSet, points: tuple[int, ...], lower: list[int],
         if pair not in crossings:
             crossings.add(pair)
             X = geo._meet(H[a], H[b], H[c], H[d])
-            heappush(events, ((Fraction(X[1], X[2]), Fraction(X[0], X[2])), i, j, X))
+            heappush(events, (geo._yx(X), i, j, X))
 
     def cross(i: int, j: int, X: geo.Hom) -> None:
-        lo = bisect_left(status, 0, key=lambda s: side(s, X))
+        lo = bisect_left(status, 0, key=lambda s: side(lines[s], X))
         if status[lo:lo + 2] != [i, j] or \
-                lo + 2 < len(status) and not side(status[lo + 2], X):
+                lo + 2 < len(status) and not side(lines[status[lo + 2]], X):
             raise _Degenerate
         status[lo:lo + 2] = j, i
         test(lo)
@@ -223,11 +223,11 @@ def _sweep_crossings(S: PointSet, points: tuple[int, ...], lower: list[int],
     for p in geo._by_y(S):
         if p not in starts:
             continue
-        while events and events[0][0] < (pts[p].y, pts[p].x):
+        while events and events[0][0] < geo._yx(H[p]):
             cross(*heappop(events)[1:])
         r = H[p]
-        lo = hi = bisect_left(status, 0, key=lambda s: side(s, r))
-        while hi < len(status) and not side(status[hi], r):
+        lo = hi = bisect_left(status, 0, key=lambda s: side(lines[s], r))
+        while hi < len(status) and not side(lines[status[hi]], r):
             if upper[status[hi]] != p:
                 raise _Degenerate
             hi += 1
@@ -303,17 +303,15 @@ def decide_upse(G: Digraph, S: PointSet,
     H, left_mask = S._hom, geo._left_mask
 
     # the window rule: rooted at vertex 0, each other vertex w stands for the
-    # edge to its parent, and own[w] holds the hull positions (counted from
-    # the top point) of the placed vertices under it; below[k] holds those of
-    # the k lowest points
+    # edge to its parent, and own[w] holds the positions on the hull cycle
+    # (geo._cycle, from the top point) of the placed vertices under it;
+    # below[k] holds those of the k lowest points
     tree = opts.use_consecutive_pruning and n >= 3 and dg._rooted(G, 0)
     pruned = bool(tree) and geo.is_convex_position(S)
     if pruned:
-        hull = geo.convex_hull(S)
-        top = hull.index(order[-1])
         bit = [0] * n
-        for where, p in enumerate(hull):
-            bit[p] = 1 << (where - top) % n
+        for where, p in enumerate(geo._cycle(S)[0]):
+            bit[p] = 1 << where
         below = [0]
         for p in order:
             below.append(below[-1] | bit[p])

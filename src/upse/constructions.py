@@ -33,12 +33,17 @@ from .errors import (BadN, BadParameters, ExtractionFailed, InvalidInstance,
 from .geometry import Point, PointSet, Sidedness, pt
 
 
+def _require_odd_n(n) -> None:
+    # type, not isinstance: a bool is an int to isinstance
+    if type(n) is not int or n < 5 or n % 2 == 0:
+        raise BadN(f"n must be an odd integer >= 5, got {n!r}")
+
+
 def gen_binucci_tree(n: int) -> Digraph:
     """The (3n+1)-vertex tree with paths P_u reversed, P_v and P_w forward,
     joined at r by arcs r->u1, v1->r, w1->r: the k-switch member with k = n-1.
     Requires odd n >= 5."""
-    if n < 5 or n % 2 == 0:
-        raise BadN(f"n must be an odd integer >= 5, got {n}")
+    _require_odd_n(n)
     return gen_kswitch_tree(n, n - 1)
 
 
@@ -46,8 +51,7 @@ def gen_binucci_pointset(n: int) -> PointSet:
     """The (3n+1)-point convex set with sides of size (3n-1)/2 interleaved as
     y(b) < y(r1) < y(l1) < y(r2) < ... < y(t). Points sit on the rational
     unit circle; order is b, r1, l1, r2, l2, ..., t. Requires odd n >= 5."""
-    if n < 5 or n % 2 == 0:
-        raise BadN(f"n must be an odd integer >= 5, got {n}")
+    _require_odd_n(n)
     half = (3 * n - 1) // 2
     points = [pt(0, -1)]
     for i in range(1, 2 * half + 1):
@@ -64,10 +68,11 @@ def gen_kswitch_tree(n: int, k: int) -> Digraph:
     as the counterexample tree, with each path's arcs laid out in alternating
     monotone runs of length k. P_u starts with u3->u2->u1; P_v and P_w start
     with v1->v2->v3 and w1->w2->w3. Requires n >= 5 and 2 <= k <= n-1."""
-    if n < 5:
-        raise BadParameters(f"n must be >= 5, got {n}")
-    if not 2 <= k <= n - 1:
-        raise BadParameters(f"k must satisfy 2 <= k <= n-1, got k={k}, n={n}")
+    # type, not isinstance: a bool is an int to isinstance
+    if type(n) is not int or n < 5:
+        raise BadParameters(f"n must be an integer >= 5, got {n!r}")
+    if type(k) is not int or not 2 <= k <= n - 1:
+        raise BadParameters(f"k must be an integer with 2 <= k <= n-1, got k={k!r}, n={n}")
 
     def path_arcs(prefix: str, start_backward: bool) -> list[tuple[str, str]]:
         out = []
@@ -99,6 +104,8 @@ class PartitionInstance:
     A: tuple[int, ...]
 
     def __post_init__(self):
+        # a tuple keeps the frozen instance hashable
+        object.__setattr__(self, "A", tuple(self.A))
         # a bool is an int to isinstance, and would serialize as true
         if not isinstance(self.B, int) or isinstance(self.B, bool) or self.B <= 0:
             raise InvalidInstance("B must be a positive integer")
@@ -127,7 +134,8 @@ class PartitionSolution:
         if len(self.sets) != inst.m:
             raise InvalidSolution(f"expected {inst.m} triples, got {len(self.sets)}")
         flat = [i for triple in self.sets for i in triple]
-        if sorted(flat) != list(range(3 * inst.m)):
+        # type, not isinstance: True would be read as item 1
+        if any(type(i) is not int for i in flat) or sorted(flat) != list(range(3 * inst.m)):
             raise InvalidSolution("triples must partition the item indices")
         for triple in self.sets:
             total = sum(inst.A[i] for i in triple)
@@ -148,6 +156,10 @@ class GadgetInstance:
 
     def top_of_group(self, i: int) -> int:
         """Point index of t(C_i), 1-based group number."""
+        # type, not isinstance: True would be read as group 1; and 0 would
+        # alias the last group
+        if type(i) is not int or not 1 <= i <= len(self.groups):
+            raise ValueError(f"group number {i!r} is not in 1..{len(self.groups)}")
         return self.groups[i - 1][-1]
 
 
@@ -191,25 +203,22 @@ def _check_gadget_points(points: PointSet, groups, b_index: int, t_index: int) -
         if not min(rank[i] for i in groups[gi + 1]) > max(rank[i] for i in groups[gi]):
             raise PropertyCheckFailed(f"C_{gi + 2} is not entirely above C_{gi + 1}")
     # b and t are extremal: l_i runs up from b to the top of C_i, f_i up from
-    # that top to t, and a point is left of a line when it turns
-    # counterclockwise, that is when its dot product with geo._wedge of the
-    # line's two points is positive
+    # that top to t, and geo._side is 1 for a point left of a line
     for gi, grp in enumerate(groups, 1):
         top = h[grp[-1]]
-        (lx, ly, lw), (fx, fy, fw) = geo._wedge(hb, top), geo._wedge(top, ht)
+        l_i, f_i = geo._wedge(hb, top), geo._wedge(top, ht)
         for gj, other in enumerate(groups, 1):
             for idx in other:
                 if idx == grp[-1]:
                     continue
-                x, y, w = h[idx]
-                side = lx * x + ly * y + lw * w
+                side = geo._side(l_i, h[idx])
                 if gj <= gi and side <= 0:
                     raise PropertyCheckFailed(
                         f"point {idx} of C_{gj} is not left of line l_{gi}")
                 if gj > gi and side >= 0:
                     raise PropertyCheckFailed(
                         f"point {idx} of C_{gj} is not right of line l_{gi}")
-                if gj >= gi and fx * x + fy * y + fw * w >= 0:
+                if gj >= gi and geo._side(f_i, h[idx]) >= 0:
                     raise PropertyCheckFailed(
                         f"point {idx} of C_{gj} is not right of line f_{gi}")
     if m >= 2:
@@ -270,8 +279,9 @@ def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
       a set of the ys placed, and their directions to every placed point and
       to each other, on homogeneous integers kept across groups. The base
       layout is integral, so an attempt slides plain ints (x, y) and tests
-      them as (x, y, 1); each point becomes a Point once, after the slides. A
-      group of B+1 points below p placed points costs O(B(p+B)) per attempt;
+      them through geo._hom; each point becomes a Point once, after the
+      slides. A group of B+1 points below p placed points costs O(B(p+B))
+      per attempt;
     - b keeps its y but its x gains 1/Q for Q = y(t) - min y + 1. Any line
       through two of the integer points meets b's horizontal at an x whose
       reduced denominator divides some y-difference, hence is < Q; an x with
@@ -309,7 +319,7 @@ def gen_gadget(inst: PartitionInstance) -> GadgetInstance:
     # fail the test through a y or a triple that holds one of its own points;
     # every y of a slid group lies below every placed y (the band-gap check),
     # and the base layout is integral, so the slides run on ints
-    placed_h: list[geo.Hom] = [(tx, ty, 1)]
+    placed_h: list[geo.Hom] = [geo._hom((tx, ty))]
     lowest = ty
     shifted: list[list[tuple[int, int]]] = []
     for grp in reversed(base_groups):  # top group first, sliding only downward

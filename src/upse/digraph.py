@@ -6,7 +6,7 @@ path digraphs, and the subtree decomposition obtained by removing a vertex
 from a tree. One rooted pass (parents, BFS order, children, subtree sizes)
 is the only tree walk: it stops on any graph, so it also answers whether the
 underlying graph is a tree, and a path is a tree of degree at most two. The
-decomposition, the embedder and the window pruner of the decision solver
+decomposition, the embedder and the window rule of the decision solver
 each use the rooted tree it leaves.
 """
 

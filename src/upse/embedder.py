@@ -16,14 +16,15 @@ subtree goes into it anchored at a source. A source packs its subtrees the
 same way and takes the bottom point, or, when leftovers remain on both
 chains, the lower of the two chain tops and hands its residual on as a sink.
 
-Every block is a window (first, length, step) on the hull cycle, the hull
-listed counterclockwise from the top point, and every residual is a
+Every block is a window (first, length, step) on the hull cycle that the
+point set caches, geometry._cycle: the hull listed counterclockwise from the
+top point, with the position of the lowest point. Every residual is a
 sub-window of its block. Every window holds the lowest point: the first is
 the whole cycle, chain runs never include that point, and so every residual
-keeps it, as the window's bottom. The cycle and the y-rank of each of its
-positions are built once; after that each step is integer arithmetic on
-positions and ranks, and a residual window whose length does not match its
-subtree raises InternalNonConsecutiveResidual. An explicit stack and a loop
+keeps it, as the window's bottom. The y-rank of each cycle position is built
+once; after that each step is integer arithmetic on positions and ranks, and
+a residual window whose length does not match its subtree raises
+InternalNonConsecutiveResidual. An explicit stack and a loop
 over residual steps replace recursion, so the depth of the tree is unbounded.
 
 The anchor of every embedder must be a vertex index in [0, n); anything
@@ -152,14 +153,11 @@ def embed_convex_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
     _require_convex_general(S)
     assign = [-1] * T.n
     n = len(S)
-    hull, order = geo.convex_hull(S), geo._by_y(S)
-    top = hull.index(order[-1])
-    cycle = hull[top:] + hull[:top]  # counterclockwise from the top point
+    cycle, lowest = geo._cycle(S)  # counterclockwise from the top point
     y_rank = [0] * n
-    for y, i in enumerate(order):
+    for y, i in enumerate(geo._by_y(S)):
         y_rank[i] = y
     rank = [y_rank[i] for i in cycle]  # the y-rank at each cycle position
-    lowest = -top % n  # the hull starts at the lowest point
 
     def block(v: int, sink: bool, first: int, length: int, step: int):
         """Embed the subtree at v into the window of length cycle positions

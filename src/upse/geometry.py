@@ -3,19 +3,26 @@ integers decide every tie.
 
 Points have ``fractions.Fraction`` coordinates. Every predicate is one exact
 integer sign test: a point becomes homogeneous integers (X, Y, W), x = X/W and
-y = Y/W, and an orientation is the sign of one 3x3 integer determinant. Point
-sets are ordered containers of distinct points with cached queries, since the
-embedding algorithms ask the same questions repeatedly. A point set reads its
-Fractions once, when it builds its homogeneous integers; after that only the
-tie-break of its (y, x) order compares them, and every other comparison of
-coordinates, here and in the modules that use a set, reads the integers or
-that cached order:
+y = Y/W, and an orientation is the sign of one 3x3 integer determinant. This
+module is the only one that looks inside a homogeneous point: the other
+modules pass them around whole and ask it for a point's side of a line
+(_side, one dot product with a line computed once by _wedge), which of two
+points is higher (_rise), a point's exact (y, x) (_yx), or a whole mask of
+sides (_left_mask). Point sets are ordered containers of distinct points
+with cached queries, since the embedding algorithms ask the same questions
+repeatedly. A point set reads its Fractions once, when it builds its
+homogeneous integers; after that only the tie-break of its (y, x) order
+compares them, and every other comparison of coordinates, here and in the
+modules that use a set, reads the integers or the cached queries:
 
 - one order of the indices by (y, x), sorted once with an exact float filter
   (a correctly rounded float decides unless two floats tie), which every
   caller that needs points in y order reads instead of sorting again;
-- the strict hull, Andrew's monotone chain run along that order: up the right
-  chain from the lowest point, then down the left chain;
+- one hull cycle, Andrew's monotone chains run along that order: the strict
+  hull counterclockwise from the top point, down the left chain and up the
+  right chain, with the position of the lowest point in it. convex_hull is
+  its rotation to the lowest point; the side split, the convex embedder and
+  the solver's window rule read the cycle itself;
 - general position: distinct y by adjacent pairs of the order, as
   Y_i * W_j != Y_j * W_i; then, when the strict hull holds every point, no
   three can be collinear (the middle point of a collinear triple is never a
@@ -99,9 +106,29 @@ def _meet(a: Hom, b: Hom, c: Hom, d: Hom) -> Hom:
     return (x, y, w) if w > 0 else (-x, -y, -w)
 
 
+def _side(line: Hom, p: Hom) -> int:
+    """1 when p lies left of the line, -1 right, 0 on it, for a line
+    _wedge(a, b) directed from a to b: _orient(a, b, p) by one dot product."""
+    (lx, ly, lw), (x, y, w) = line, p
+    d = lx * x + ly * y + lw * w
+    return (d > 0) - (d < 0)
+
+
+def _rise(a: Hom, b: Hom) -> int:
+    """(y(b) - y(a)) * W_a * W_b: positive iff b lies above a, 0 at equal heights."""
+    return b[1] * a[2] - a[1] * b[2]
+
+
+def _yx(h: Hom) -> tuple[Fraction, Fraction]:
+    """The exact (y, x) of a homogeneous point, the key of the cached order."""
+    x, y, w = h
+    return Fraction(y, w), Fraction(x, w)
+
+
 def _left_mask(H: tuple[Hom, ...], a: int, b: int) -> int:
     """Bit k set iff point H[k] lies strictly left of the line a -> b:
-    one 3-term dot product per point."""
+    one 3-term dot product per point. This is the solver's hot loop, so the
+    dot product of _side stays inline."""
     lx, ly, lw = _wedge(H[a], H[b])
     mask = 0
     for k, (x, y, w) in enumerate(H):
@@ -175,7 +202,7 @@ class PointSet:
         self.points: tuple[Point, ...] = pts
         self._hom: tuple[Hom, ...] = h
         self._by_y: tuple[int, ...] | None = None
-        self._hull: tuple[int, ...] | None = None
+        self._cycle: tuple[tuple[int, ...], int] | None = None
         self._general: bool | None = None
 
     def __len__(self) -> int:
@@ -189,6 +216,9 @@ class PointSet:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PointSet) and self.points == other.points
+
+    def __hash__(self) -> int:
+        return hash(self.points)
 
     def __repr__(self) -> str:
         return f"PointSet({list(self.points)!r})"
@@ -223,31 +253,41 @@ def _by_y(S: PointSet) -> tuple[int, ...]:
     return S._by_y
 
 
+def _cycle(S: PointSet) -> tuple[tuple[int, ...], int]:
+    """The hull cycle: the strict hull vertices counterclockwise from the top
+    point, the last in the (y, x) order, and the position in it of the
+    lowest point, the first in that order.
+
+    Collinear boundary points are not hull vertices. For one or two points the
+    cycle is all of them.
+    """
+    if S._cycle is None:
+        order, h = _by_y(S), S._hom
+
+        def chain(seq) -> list[int]:  # one monotone chain, left turns only
+            out: list[int] = []
+            for i in seq:
+                while len(out) >= 2 and _orient(h[out[-2]], h[out[-1]], h[i]) <= 0:
+                    out.pop()
+                out.append(i)
+            return out
+
+        # down the left chain from the top point, then up the right chain
+        # from the lowest; each chain ends where the other starts, and one
+        # point is a chain of itself
+        left = chain(reversed(order))
+        S._cycle = (tuple(left[:-1] + chain(order)[:-1]) or order), len(left) - 1
+    return S._cycle
+
+
 def convex_hull(S: PointSet) -> tuple[int, ...]:
     """Indices of strict hull vertices in counterclockwise order from the lowest point.
 
     Collinear boundary points are not hull vertices. For one or two points the
     result is all of them.
     """
-    if S._hull is not None:
-        return S._hull
-    order = _by_y(S)
-    if len(order) == 1:
-        S._hull = order
-        return S._hull
-    h = S._hom
-
-    def chain(seq) -> list[int]:  # one monotone chain, left turns only
-        out: list[int] = []
-        for i in seq:
-            while len(out) >= 2 and _orient(h[out[-2]], h[out[-1]], h[i]) <= 0:
-                out.pop()
-            out.append(i)
-        return out
-
-    # up the right chain from the lowest point, then down the left chain
-    S._hull = tuple(chain(order)[:-1] + chain(reversed(order))[:-1])
-    return S._hull
+    cycle, lowest = _cycle(S)
+    return cycle[lowest:] + cycle[:lowest]
 
 
 def is_general_position(S: PointSet) -> bool:
@@ -255,8 +295,7 @@ def is_general_position(S: PointSet) -> bool:
     if S._general is not None:
         return S._general
     h, order = S._hom, _by_y(S)
-    S._general = all(h[i][1] * h[j][2] != h[j][1] * h[i][2]
-                     for i, j in zip(order, order[1:])) \
+    S._general = all(_rise(h[i], h[j]) for i, j in zip(order, order[1:])) \
         and (_convex_including_small(S) or _no_collinear_triple(h))
     return S._general
 
@@ -305,7 +344,7 @@ def _distinct_directions(p: Hom, others: Sequence[Hom]) -> bool:
 
 
 def _convex_including_small(S: PointSet) -> bool:
-    return len(S) < 3 or len(convex_hull(S)) == len(S)
+    return len(S) < 3 or len(_cycle(S)[0]) == len(S)
 
 
 def is_convex_position(S: PointSet) -> bool:
@@ -326,7 +365,7 @@ def _side_of_line(p: Point, a: Point, b: Point) -> int:
     """Horizontal-ray side test against the non-horizontal line through a and b:
     1 when p is right of the line, -1 when left, 0 on it."""
     ha, hb = _hom(a), _hom(b)
-    rise = hb[1] * ha[2] - ha[1] * hb[2]  # (y(b) - y(a)) * W_a * W_b
+    rise = _rise(ha, hb)
     if not rise:
         raise ValueError("line through a and b must not be horizontal")
     return -_orient(ha, hb, _hom(p)) if rise > 0 else _orient(ha, hb, _hom(p))
@@ -352,11 +391,10 @@ def classify_sides(S: PointSet) -> SideSplit:
         raise NotConvex("point set is not in convex position")
     if not is_general_position(S):
         raise NotGeneralPosition("point set is not in general position")
-    # the hull runs counterclockwise from the lowest point: up the right side
-    # to the highest point, then down the left side
-    hull = convex_hull(S)
-    t = hull.index(_by_y(S)[-1])
-    return SideSplit(hull[:t:-1], hull[1:t], hull[0], hull[t])
+    # the cycle runs down the left side from the top point to the lowest,
+    # then up the right side
+    cycle, lowest = _cycle(S)
+    return SideSplit(cycle[lowest - 1:0:-1], cycle[lowest + 1:], cycle[lowest], cycle[0])
 
 
 def is_one_sided(S: PointSet) -> Sidedness:
@@ -380,7 +418,7 @@ def convex_depth(S: PointSet) -> int:
     depth = 0
     while remaining:
         sub = PointSet(pts[i] for i in remaining)
-        shell = set(convex_hull(sub))
+        shell = set(_cycle(sub)[0])
         remaining = [idx for k, idx in enumerate(remaining) if k not in shell]
         depth += 1
     return depth
@@ -390,14 +428,15 @@ def is_consecutive(subset: Iterable[int], S: PointSet) -> bool:
     """True iff the subset occupies a contiguous arc of the hull cycle of a convex set."""
     if not _convex_including_small(S):
         raise NotConvex("point set is not in convex position")
-    hull = convex_hull(S)
-    pos = {idx: k for k, idx in enumerate(hull)}
+    cycle, _ = _cycle(S)
+    pos = {idx: k for k, idx in enumerate(cycle)}
     chosen = set()
     for i in subset:
-        if i not in pos:
-            raise ValueError(f"index {i} is not a point of the set")
+        # type, not isinstance: True would be read as point 1
+        if type(i) is not int or i not in pos:
+            raise ValueError(f"index {i!r} is not a point of the set")
         chosen.add(pos[i])
-    n = len(hull)
+    n = len(cycle)
     if len(chosen) in (0, n):
         return True
     gaps = sum(1 for k in chosen if (k + 1) % n not in chosen)

@@ -40,6 +40,13 @@ class TestBinucciTree:
             with pytest.raises(BadN):
                 gen_binucci_tree(n)
 
+    @pytest.mark.parametrize("n", [5.0, 7.0, Fraction(5), "5", True])
+    def test_rejects_a_non_integer_n(self, n):
+        # type, not value: 5.0 and Fraction(5) equal 5, and True is an int
+        for gen in (gen_binucci_tree, gen_binucci_pointset):
+            with pytest.raises(BadN, match="n must be an odd integer >= 5"):
+                gen(n)
+
 
 class TestBinucciPointset:
     def test_shape_for_n5(self):
@@ -104,6 +111,13 @@ class TestKSwitchTree:
             with pytest.raises(BadParameters):
                 gen_kswitch_tree(n, k)
 
+    @pytest.mark.parametrize("n, k", [(7, 2.5), (7, 3.0), (5.5, 2), (7.0, 3),
+                                      (7, True), (True, 2), (7, "3")])
+    def test_rejects_non_integer_parameters(self, n, k):
+        # 2.5 is not a generator failure, and 3.0 is not the integer 3
+        with pytest.raises(BadParameters, match="must be an integer"):
+            gen_kswitch_tree(n, k)
+
 
 class TestPartitionInstance:
     def test_valid(self):
@@ -139,6 +153,14 @@ class TestPartitionInstance:
         with pytest.raises(InvalidInstance, match="B must be a positive integer"):
             PartitionInstance(True, (1, 1, 1))
 
+    def test_items_are_kept_as_a_tuple(self):
+        inst = PartitionInstance(3, [1, 1, 1])
+        assert inst.A == (1, 1, 1) and inst == PartitionInstance(3, (1, 1, 1))
+        # both are frozen, so both hash
+        assert hash(inst) == hash(PartitionInstance(3, (1, 1, 1)))
+        g = gen_gadget(inst)
+        assert {g: 1}[g] == 1 and hash(g.points) == hash(PointSet(g.points.points))
+
 
 class TestPartitionSolution:
     def test_check_against(self):
@@ -151,6 +173,13 @@ class TestPartitionSolution:
             PartitionSolution(((0, 1, 2), (0, 4, 5))).check_against(inst)
         with pytest.raises(InvalidSolution):  # wrong triple count
             PartitionSolution(((0, 1, 2),)).check_against(inst)
+
+    @pytest.mark.parametrize("i", [True, 1.0, Fraction(1), "1"])
+    def test_rejects_an_index_that_is_not_an_int(self, i):
+        # True and 1.0 both equal item 1, and sort as it does
+        inst = PartitionInstance(13, (4, 4, 5, 4, 4, 5))
+        with pytest.raises(InvalidSolution, match="partition the item indices"):
+            PartitionSolution(((0, i, 2), (3, 4, 5))).check_against(inst)
 
 
 def tiny_gadget():
@@ -215,10 +244,18 @@ class TestGadgetStructure:
         ys = [p.y for p in S]
         assert S[g.b_index].y == min(ys) and S[g.t_index].y == max(ys)
         assert g.top_of_group(1) == g.groups[0][-1]
+        assert g.top_of_group(2) == g.groups[1][-1]
         for grp in g.groups:
             grp_ys = [S[i].y for i in grp]
             assert grp_ys == sorted(grp_ys)
         assert max(S[i].y for i in g.groups[0]) < min(S[i].y for i in g.groups[1])
+
+    @pytest.mark.parametrize("i", [0, -1, 3, True, 1.0])
+    def test_top_of_group_rejects_a_number_outside_one_to_m(self, i):
+        # 0 and -1 would alias the last groups, and True would read as 1
+        g = gen_gadget(PartitionInstance(12, (4,) * 6))
+        with pytest.raises(ValueError, match=r"not in 1\.\.2"):
+            g.top_of_group(i)
 
 
 def left_of(a, b, p):

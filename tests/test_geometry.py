@@ -282,6 +282,12 @@ class TestConsecutive:
         with pytest.raises(ValueError, match=f"index {i} is not a point of the set"):
             is_consecutive([0, i], self.S)
 
+    @pytest.mark.parametrize("i", [True, False, 1.0])
+    def test_an_index_that_is_not_an_int_is_rejected(self, i):
+        # True would read as point 1, as Mapping and the vertex tests refuse
+        with pytest.raises(ValueError, match=f"index {i!r} is not a point of the set"):
+            is_consecutive([i], self.S)
+
 
 class TestPredicateFuzz:
     def test_orientation_antisymmetry_and_invariance(self):
@@ -385,6 +391,14 @@ def collinear_sets(draw):
     return list(dict.fromkeys(Point(a.x + t * d.x, a.y + t * d.y) for t in ts))
 
 
+@st.composite
+def one_sided_sets(draw):
+    """Rational-circle points all on its left half, or all on its right."""
+    ks = draw(st.lists(st.integers(-999, 999), min_size=1, max_size=10, unique=True))
+    left = draw(st.booleans())
+    return draw(st.permutations([circle_point(Fraction(k, 1000), left) for k in ks]))
+
+
 point_sets = st.one_of(point_lists(st.one_of(points, extreme_points)),
                        convex_sets(), collinear_sets())
 SQUARE = [pt(0, 0), pt(4, 1), pt(5, 5), pt(1, 4)]  # convex, distinct y
@@ -453,6 +467,21 @@ class TestKernelAgainstFractionOracles:
     @given(point_sets)
     def test_convex_hull_matches_gift_wrapping(self, pts):
         assert list(convex_hull(PointSet(pts))) == jarvis_hull(pts) == xsort_hull(pts)
+
+    @settings(max_examples=150, deadline=None)
+    @with_named_sets
+    @given(st.one_of(point_sets, one_sided_sets()))
+    def test_cycle_is_gift_wrapping_from_the_top_point(self, pts):
+        S = PointSet(pts)
+        cycle, lowest = geo._cycle(S)
+        by_yx = sorted(range(len(pts)), key=lambda i: (pts[i].y, pts[i].x))
+        hull = jarvis_hull(pts)
+        top = hull.index(by_yx[-1])
+        assert list(cycle) == hull[top:] + hull[:top]
+        assert cycle[lowest] == by_yx[0]
+        # the set keeps the one cycle, and the hull is its rotation
+        assert geo._cycle(S) is S._cycle
+        assert convex_hull(S) == cycle[lowest:] + cycle[:lowest]
 
     @settings(max_examples=150, deadline=None)
     @with_named_sets
@@ -552,6 +581,25 @@ class TestLineIdentity:
         dot = lx * p[0] + ly * p[1] + lw * p[2]
         assert dot == geo._det(a, b, p)
         assert (dot > 0) - (dot < 0) == geo._orient(a, b, p)
+        assert geo._side(geo._wedge(a, b), p) == geo._orient(a, b, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(homogeneous, homogeneous, st.booleans())
+    def test_rise_and_yx_match_fractions(self, a, b, equal_w):
+        if equal_w:
+            b = (*b[:2], a[2])
+        (xa, ya), (xb, yb) = ((Fraction(x, w), Fraction(y, w)) for x, y, w in (a, b))
+        assert geo._rise(a, b) == (yb - ya) * a[2] * b[2]
+        assert geo._yx(a) == (ya, xa)
+        # a point's own homogeneous integers give back its exact (y, x)
+        assert geo._yx(geo._hom(Point(xb, yb))) == (yb, xb)
+        # the exact (y, x) of where line ab meets a second line, whose W is
+        # a product of theirs, lies on both lines
+        c, d = (a[1], -a[0], a[2]), (b[0] + 1, b[1], b[2])
+        if geo._wedge(geo._wedge(a, b), geo._wedge(c, d))[2]:
+            y, x = geo._yx(geo._meet(a, b, c, d))
+            A, B, C, D = (Point(Fraction(px, w), Fraction(py, w)) for px, py, w in (a, b, c, d))
+            assert frac_cross(A, B, Point(x, y)) == 0 == frac_cross(C, D, Point(x, y))
 
 
 FRACTION_OPS = ("__eq__", "__lt__", "__gt__", "__le__", "__ge__", "__add__",
