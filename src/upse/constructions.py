@@ -130,6 +130,16 @@ class PartitionSolution:
 
     sets: tuple[tuple[int, int, int], ...]
 
+    def __post_init__(self):
+        # tuples keep the frozen solution hashable
+        try:
+            sets = tuple(map(tuple, self.sets))
+        except TypeError:
+            sets = None
+        if sets is None or any(len(triple) != 3 for triple in sets):
+            raise InvalidSolution("each entry must be a triple of item indices")
+        object.__setattr__(self, "sets", sets)
+
     def check_against(self, inst: PartitionInstance) -> None:
         if len(self.sets) != inst.m:
             raise InvalidSolution(f"expected {inst.m} triples, got {len(self.sets)}")

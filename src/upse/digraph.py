@@ -73,6 +73,13 @@ class Digraph:
     def index(self, label: str) -> int:
         return self._index[label]
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Digraph) and \
+            (self.vertices, self.arcs) == (other.vertices, other.arcs)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.arcs))
+
     def __repr__(self) -> str:
         return f"Digraph({len(self.vertices)} vertices, {len(self.arcs)} arcs)"
 

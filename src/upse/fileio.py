@@ -3,6 +3,8 @@ gadget bundles. Coordinates are exact: integers stay integers, everything else
 becomes a "p/q" string in lowest terms. All load-side problems, including a
 zero denominator, and every failure to write an output file surface as
 FormatError, also a number past Python's integer string limit either way.
+A gadget bundle is read by rebuilding the gadget of its instance with
+gen_gadget, and must match what gadget_to_obj writes for that gadget exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from typing import Any
 
 from .checker import DecideResult
-from .constructions import GadgetInstance, PartitionInstance
+from .constructions import GadgetInstance, PartitionInstance, gen_gadget
 from .digraph import Digraph
 from .embedder import Mapping
 from .errors import FormatError, UpseError
@@ -39,13 +41,6 @@ def rational_from_json(v: Any) -> Fraction:
             raise FormatError(f"zero denominator in {v!r}")
         return Fraction(num, den)
     raise FormatError(f"not a rational: {v!r}")
-
-
-def int_from_json(v: Any) -> int:
-    # int() would read true as 1 and 4.5 as 4
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise FormatError(f"not an integer: {v!r}")
-    return v
 
 
 def rational_to_json(f: Fraction) -> int | str:
@@ -140,21 +135,22 @@ def gadget_to_obj(g: GadgetInstance) -> dict:
 
 
 def gadget_from_obj(obj: Any) -> GadgetInstance:
+    """The gadget of the bundle's instance, rebuilt by gen_gadget. The rest
+    of the bundle must be exactly what gadget_to_obj writes for it: the same
+    keys and values, with true never read as 1, nor 1.0 as 1."""
     if not isinstance(obj, dict):
         raise FormatError("gadget bundle must be an object")
     try:
-        inst_raw = obj["instance"]
-        inst = PartitionInstance(int_from_json(inst_raw["B"]),
-                                 tuple(map(int_from_json, inst_raw["A"])))
-        graph = graph_from_obj(obj["graph"])
-        points = points_from_obj(obj["points"])
-        groups = tuple(tuple(map(int_from_json, grp)) for grp in obj["groups"])
-        return GadgetInstance(inst, graph, points, groups,
-                              int_from_json(obj["b"]), int_from_json(obj["t"]))
-    except FormatError:
-        raise
+        text = json.dumps(obj, sort_keys=True)
+        inst = PartitionInstance(obj["instance"]["B"], obj["instance"]["A"])
     except (KeyError, TypeError, ValueError, UpseError) as exc:
         raise FormatError(f"malformed gadget bundle: {exc}") from exc
+    # the gadget lists its m(B + 1) + 2 vertex labels, so a shorter bundle
+    # cannot match it, and a few bytes do not get a huge B built
+    if len(text) < inst.m * (inst.B + 1) or \
+            text != json.dumps(gadget_to_obj(g := gen_gadget(inst)), sort_keys=True):
+        raise FormatError("gadget bundle differs from the gadget of its instance")
+    return g
 
 
 def _load(path: str) -> Any:

@@ -7,7 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from upse import (Digraph, Mapping, NotGeneralPosition, Orientation,
@@ -201,6 +201,10 @@ class TestSweepAgainstPairwiseOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(drawings(), swapped_embeddings()))
+    # b lies inside c -> d, and the sweep meets it when the arcs become
+    # neighbours: arcs cross (0, 1) and vertex on arc (1, 1)
+    @example((Digraph(list("abcd"), [(0, 1), (2, 3)]),
+              PointSet([pt(0, 0), pt(2, 2), pt(3, 0), pt(1, 4)]), Mapping((0, 1, 2, 3))))
     def test_violation_lists_agree(self, drawing):
         assert verify_upse(*drawing) == pairwise_violations(*drawing)
 

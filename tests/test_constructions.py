@@ -160,6 +160,9 @@ class TestPartitionInstance:
         assert hash(inst) == hash(PartitionInstance(3, (1, 1, 1)))
         g = gen_gadget(inst)
         assert {g: 1}[g] == 1 and hash(g.points) == hash(PointSet(g.points.points))
+        # a gadget compares by value, its graph included
+        assert g == gen_gadget(PartitionInstance(3, (1, 1, 1)))
+        assert hash(g) == hash(gen_gadget(PartitionInstance(3, (1, 1, 1))))
 
 
 class TestPartitionSolution:
@@ -180,6 +183,22 @@ class TestPartitionSolution:
         inst = PartitionInstance(13, (4, 4, 5, 4, 4, 5))
         with pytest.raises(InvalidSolution, match="partition the item indices"):
             PartitionSolution(((0, i, 2), (3, 4, 5))).check_against(inst)
+
+    @pytest.mark.parametrize("sets", [(5, 6), ((0, 1), (2, 3, 4, 5)),
+                                      ((0, 1, 2), (3, 4, 5, 6)), ((0, 1, 2), None), None])
+    def test_rejects_an_entry_that_is_not_a_triple(self, sets):
+        # (5, 6) holds no triple at all, and ((0, 1), (2, 3, 4, 5)) partitions
+        # the six items, so only its sums would be wrong
+        with pytest.raises(InvalidSolution, match="triple of item indices"):
+            PartitionSolution(sets).check_against(PartitionInstance(3, (1,) * 6))
+
+    def test_triples_are_kept_as_tuples(self):
+        sol = PartitionSolution([[0, 1, 2], [3, 4, 5]])
+        assert sol.sets == ((0, 1, 2), (3, 4, 5))
+        assert sol == PartitionSolution(((0, 1, 2), (3, 4, 5)))
+        # frozen, so it hashes
+        assert hash(sol) == hash(PartitionSolution(((0, 1, 2), (3, 4, 5))))
+        sol.check_against(PartitionInstance(3, (1,) * 6))
 
 
 def tiny_gadget():

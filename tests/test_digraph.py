@@ -49,6 +49,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Digraph.from_labels(["a"], [("a", "z")])
 
+    def test_equal_by_vertices_and_arcs(self):
+        G = Digraph(["a", "b"], [(0, 1)])
+        assert G == Digraph.from_labels(["a", "b"], [("a", "b")])
+        assert hash(G) == hash(Digraph(["a", "b"], [(0, 1)]))
+        assert G != Digraph(["a", "b"], [(1, 0)])
+        assert G != Digraph(["a", "c"], [(0, 1)])
+        assert G != Digraph(["a", "b", "c"], [(0, 1)])
+        assert G != (("a", "b"), ((0, 1),))
+
 
 class TestUnderlyingTree:
     def test_path_is_tree(self):

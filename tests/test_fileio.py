@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upse import (Digraph, FormatError, Mapping, PartitionInstance, Point,
-                  PointSet, gen_gadget, pt)
+                  PointSet, fileio, gen_gadget, pt)
 from upse.checker import DecideResult
 from upse.fileio import (decide_result_to_obj, gadget_from_obj, gadget_to_obj,
                          graph_from_obj, graph_to_obj, mapping_from_obj,
@@ -205,6 +205,15 @@ class TestDecideResult:
         assert "mapping" not in obj
 
 
+def _rename_p1_1(obj):
+    # consistent within the graph, but not the gadget of the instance
+    def rename(v):
+        return "zz" if v == "p1_1" else v
+    graph = obj["graph"]
+    graph["vertices"] = [rename(v) for v in graph["vertices"]]
+    graph["arcs"] = [[rename(t), rename(h)] for t, h in graph["arcs"]]
+
+
 class TestGadgetBundles:
     def test_file_round_trip_is_exact(self, tmp_path):
         g = gen_gadget(PartitionInstance(3, (1,) * 6))
@@ -217,6 +226,7 @@ class TestGadgetBundles:
         assert h.points.points == g.points.points  # b's 1/125 survives
         assert h.groups == g.groups
         assert h.b_index == g.b_index and h.t_index == g.t_index
+        assert h == g
 
     def test_serialized_rational_is_a_string(self, tmp_path):
         g = gen_gadget(PartitionInstance(3, (1,) * 6))
@@ -237,6 +247,11 @@ class TestGadgetBundles:
         lambda o: o.update(b=True),
         lambda o: o["instance"].update(A=[1.5] * 6),  # int() reads 1.5 as 1
         lambda o: o["groups"][0].__setitem__(0, 0.5),
+        lambda o: o.update(b=999),  # the set has 10 points
+        _rename_p1_1,
+        lambda o: o.update(extra=0),
+        lambda o: o["groups"][0].__setitem__(1, True),  # the bundle holds 1
+        lambda o: o["groups"][0].__setitem__(1, 1.0),
     ])
     def test_rejects_malformed(self, mutate):
         obj = gadget_to_obj(gen_gadget(PartitionInstance(3, (1,) * 6)))
@@ -247,6 +262,17 @@ class TestGadgetBundles:
     @pytest.mark.parametrize("obj", [[], "gadget", None])
     def test_rejects_a_bundle_that_is_not_an_object(self, obj):
         with pytest.raises(FormatError, match="must be an object"):
+            gadget_from_obj(obj)
+
+    def test_a_bundle_too_short_for_its_instance_builds_nothing(self, monkeypatch):
+        # a gadget lists its m(B + 1) + 2 vertex labels; this one would have
+        # 10^9 + 3 points
+        def build(inst):
+            raise AssertionError("built the gadget of a bundle too short to match it")
+        monkeypatch.setattr(fileio, "gen_gadget", build)
+        obj = gadget_to_obj(gen_gadget(PartitionInstance(3, (1,) * 6)))
+        obj["instance"] = {"B": 10 ** 9, "A": [333_333_334, 333_333_333, 333_333_333]}
+        with pytest.raises(FormatError, match="differs from the gadget"):
             gadget_from_obj(obj)
 
     def test_rejects_inconsistent_instance(self):
