@@ -65,13 +65,14 @@ bit mask, and a placement costs one O(1) test per edge.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 from . import digraph as dg
 from . import geometry as geo
+from ._record import Record
 from .digraph import Digraph
 from .embedder import Mapping
 from .errors import Cyclic, NotGeneralPosition, SizeMismatch
@@ -85,8 +86,7 @@ class ViolationKind(Enum):
     VERTEX_ON_ARC = "vertex_on_arc"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: ViolationKind
     subjects: tuple
     detail: str
@@ -265,20 +265,19 @@ def _pairwise(S: PointSet, points: tuple[int, ...], segs: list[tuple[int, int]])
     return crossings, on_arc
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    use_consecutive_pruning: bool = True
-    node_budget: int | None = None
+class SolverOptions(Record):
+    __slots__ = ("use_consecutive_pruning", "node_budget")
 
-    def __post_init__(self):
+    def __init__(self, use_consecutive_pruning: bool = True,
+                 node_budget: int | None = None):
+        self._init(use_consecutive_pruning, node_budget)
         # a bool is an int to isinstance, and a fractional budget never runs out
         b = self.node_budget
         if b is not None and (not isinstance(b, int) or isinstance(b, bool) or b < 0):
             raise ValueError(f"node budget must be a non-negative integer, got {b!r}")
 
 
-@dataclass(frozen=True)
-class DecideResult:
+class DecideResult(NamedTuple):
     result: str  # "embeddable" | "not_embeddable" | "budget_exhausted"
     mapping: Mapping | None
     nodes_explored: int

@@ -13,12 +13,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 
 from . import fileio
 from .checker import SolverOptions, decide_upse, verify_upse
-from .constructions import (PartitionInstance, gen_binucci_pointset,
-                            gen_binucci_tree, gen_gadget, gen_kswitch_tree)
 from .embedder import embed_switch_tree
 from .errors import FormatError, UpseError
 from .render import RenderSpec, render_svg
@@ -72,6 +69,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    # the only command that builds instances; the others skip this import
+    from .constructions import (PartitionInstance, gen_binucci_pointset,
+                                gen_binucci_tree, gen_gadget, gen_kswitch_tree)
     if args.family == "binucci-tree":
         fileio.write_graph(args.out, gen_binucci_tree(args.n))
     elif args.family == "binucci-points":
@@ -96,7 +96,7 @@ def _cmd_render(args) -> int:
         if G is None:
             raise FormatError("--mapping requires --graph")
         m = fileio.read_mapping(args.mapping, G)
-    spec = RenderSpec(**{f.name: getattr(args, f.name) for f in fields(RenderSpec)})
+    spec = RenderSpec(*(getattr(args, name) for name in RenderSpec.__slots__))
     fileio.write_text(args.out, render_svg(S, G, m, spec))
     return 0
 
@@ -150,12 +150,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", default=None)
     p.add_argument("--mapping", default=None)
     p.add_argument("--out", required=True)
-    for f in fields(RenderSpec):  # --width ... --labels, defaults from RenderSpec
-        flag = "--" + f.name.replace("_", "-")
-        if f.default is False:
+    defaults = RenderSpec()  # --width ... --labels: its fields and their defaults
+    for name in RenderSpec.__slots__:
+        flag, default = "--" + name.replace("_", "-"), getattr(defaults, name)
+        if default is False:
             p.add_argument(flag, action="store_true")
         else:
-            p.add_argument(flag, type=int, default=f.default)
+            p.add_argument(flag, type=int, default=default)
     p.set_defaults(fn=_cmd_render)
 
     return top

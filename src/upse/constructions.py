@@ -20,10 +20,11 @@ exact solver may return, need not have it, and are not decoded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import geometry as geo
+from ._record import Record
 from .checker import verify_upse
 from .digraph import Digraph, longest_directed_path_length
 from .embedder import Mapping
@@ -96,16 +97,14 @@ def gen_kswitch_tree(n: int, k: int) -> Digraph:
     return G
 
 
-@dataclass(frozen=True)
-class PartitionInstance:
+class PartitionInstance(Record):
     """3-Partition instance: bound B and 3m items with B/4 < a < B/2."""
 
-    B: int
-    A: tuple[int, ...]
+    __slots__ = ("B", "A")
 
-    def __post_init__(self):
+    def __init__(self, B: int, A: tuple[int, ...]):
         # a tuple keeps the frozen instance hashable
-        object.__setattr__(self, "A", tuple(self.A))
+        self._init(B, tuple(A))
         # a bool is an int to isinstance, and would serialize as true
         if not isinstance(self.B, int) or isinstance(self.B, bool) or self.B <= 0:
             raise InvalidInstance("B must be a positive integer")
@@ -124,21 +123,20 @@ class PartitionInstance:
         return len(self.A) // 3
 
 
-@dataclass(frozen=True)
-class PartitionSolution:
+class PartitionSolution(Record):
     """m disjoint index triples into A, each selecting items summing to B."""
 
-    sets: tuple[tuple[int, int, int], ...]
+    __slots__ = ("sets",)
 
-    def __post_init__(self):
+    def __init__(self, sets: tuple[tuple[int, int, int], ...]):
         # tuples keep the frozen solution hashable
         try:
-            sets = tuple(map(tuple, self.sets))
+            sets = tuple(map(tuple, sets))
         except TypeError:
             sets = None
         if sets is None or any(len(triple) != 3 for triple in sets):
             raise InvalidSolution("each entry must be a triple of item indices")
-        object.__setattr__(self, "sets", sets)
+        self._init(sets)
 
     def check_against(self, inst: PartitionInstance) -> None:
         if len(self.sets) != inst.m:
@@ -153,8 +151,7 @@ class PartitionSolution:
                 raise InvalidSolution(f"triple {triple} sums to {total}, expected {inst.B}")
 
 
-@dataclass(frozen=True)
-class GadgetInstance:
+class GadgetInstance(NamedTuple):
     """Reduction gadget: graph, point set, and the group structure of the points."""
 
     instance: PartitionInstance

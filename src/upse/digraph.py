@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Cyclic, NotATree
 
@@ -186,16 +185,14 @@ def _is_vertex(G: Digraph, v) -> bool:
     return type(v) is int and 0 <= v < G.n
 
 
-@dataclass(frozen=True)
-class Subtree:
+class Subtree(NamedTuple):
     """One component left after removing a vertex from a tree."""
     vertices: frozenset[int]
     attachment: int          # the unique neighbor of the removed vertex inside
     arc_into_removed: bool   # True when the connecting arc points at the removed vertex
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(NamedTuple):
     removed_vertex: int
     subtrees: tuple[Subtree, ...]
 

@@ -33,10 +33,9 @@ else, a bool or -1 included, raises ValueError after the switch-tree test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import digraph as dg
 from . import geometry as geo
+from ._record import Record
 from .digraph import Digraph
 from .errors import (InternalNonConsecutiveResidual, NotConvex,
                      NotGeneralPosition, NotOneSided, NotSink, NotSource,
@@ -44,13 +43,13 @@ from .errors import (InternalNonConsecutiveResidual, NotConvex,
 from .geometry import PointSet, Sidedness
 
 
-@dataclass(frozen=True)
-class Mapping:
+class Mapping(Record):
     """Assignment of vertex indices to point indices."""
 
-    assignment: tuple[int, ...]
+    __slots__ = ("assignment",)
 
-    def __post_init__(self):
+    def __init__(self, assignment: tuple[int, ...]):
+        self._init(assignment)
         # type, not isinstance: a bool is an int to isinstance
         if any(type(i) is not int or i < 0 for i in self.assignment):
             raise ValueError("point indices must be non-negative integers")

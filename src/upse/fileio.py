@@ -12,14 +12,16 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .checker import DecideResult
-from .constructions import GadgetInstance, PartitionInstance, gen_gadget
 from .digraph import Digraph
 from .embedder import Mapping
 from .errors import FormatError, UpseError
 from .geometry import Point, PointSet
+
+if TYPE_CHECKING:
+    from .checker import DecideResult
+    from .constructions import GadgetInstance
 
 _RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
@@ -138,6 +140,7 @@ def gadget_from_obj(obj: Any) -> GadgetInstance:
     """The gadget of the bundle's instance, rebuilt by gen_gadget. The rest
     of the bundle must be exactly what gadget_to_obj writes for it: the same
     keys and values, with true never read as 1, nor 1.0 as 1."""
+    from .constructions import PartitionInstance, gen_gadget  # only bundles need it
     if not isinstance(obj, dict):
         raise FormatError("gadget bundle must be an object")
     try:

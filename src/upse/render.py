@@ -10,24 +10,20 @@ and use floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .digraph import Digraph
 from .embedder import Mapping
 from .geometry import PointSet
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    width: int = 800
-    height: int = 600
-    margin: int = 40
-    vertex_radius: int = 4
-    arrow_size: int = 10
-    labels: bool = False
+class RenderSpec(Record):
+    __slots__ = ("width", "height", "margin", "vertex_radius", "arrow_size", "labels")
 
-    def __post_init__(self):
+    def __init__(self, width: int = 800, height: int = 600, margin: int = 40,
+                 vertex_radius: int = 4, arrow_size: int = 10, labels: bool = False):
+        self._init(width, height, margin, vertex_radius, arrow_size, labels)
         if min(self.width, self.height, self.margin, self.vertex_radius,
                self.arrow_size) <= 0:
             raise ValueError("render dimensions must be positive")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upse import (Digraph, FormatError, Mapping, PartitionInstance, Point,
-                  PointSet, fileio, gen_gadget, pt)
+                  PointSet, gen_gadget, pt)
 from upse.checker import DecideResult
 from upse.fileio import (decide_result_to_obj, gadget_from_obj, gadget_to_obj,
                          graph_from_obj, graph_to_obj, mapping_from_obj,
@@ -269,7 +269,7 @@ class TestGadgetBundles:
         # 10^9 + 3 points
         def build(inst):
             raise AssertionError("built the gadget of a bundle too short to match it")
-        monkeypatch.setattr(fileio, "gen_gadget", build)
+        monkeypatch.setattr("upse.constructions.gen_gadget", build)
         obj = gadget_to_obj(gen_gadget(PartitionInstance(3, (1,) * 6)))
         obj["instance"] = {"B": 10 ** 9, "A": [333_333_334, 333_333_333, 333_333_333]}
         with pytest.raises(FormatError, match="differs from the gadget"):
