@@ -42,7 +42,13 @@ tested pair also keeps the ids already tested against it and those among
 them that cross it, so a placement tests only the drawn ids that are new to
 its pair, and fails iff a drawn id crosses. No drawn arc is tested against a
 pair twice; an id enters the mask only with its arc, so the ids of pairs
-whose vertex then fails are never tested.
+whose vertex then fails are never tested. The memo is one row per point q,
+keyed by the point a of the tail, and the search reads the row of the point
+it fills once per depth. The crossing test is inline in the candidate loop,
+so a node makes no Python call once its pairs are in the memo: per in-arc it
+costs one dict lookup and one mask test when a known crossing is drawn, or
+two mask tests when none is, plus one bit test per end for each drawn id
+new to the pair.
 
 On convex point sets and tree inputs an additional pruning rule applies:
 removing a tree edge splits the tree into two sides, and in every valid
@@ -271,8 +277,11 @@ class SolverOptions(Record):
     def __init__(self, use_consecutive_pruning: bool = True,
                  node_budget: int | None = None):
         self._init(use_consecutive_pruning, node_budget)
+        p, b = self.use_consecutive_pruning, self.node_budget
+        # a string such as "false" is truthy and would prune
+        if not isinstance(p, bool):
+            raise ValueError(f"use_consecutive_pruning must be a bool, got {p!r}")
         # a bool is an int to isinstance, and a fractional budget never runs out
-        b = self.node_budget
         if b is not None and (not isinstance(b, int) or isinstance(b, bool) or b < 0):
             raise ValueError(f"node budget must be a non-negative integer, got {b!r}")
 
@@ -324,10 +333,11 @@ def decide_upse(G: Digraph, S: PointSet,
                 own[v] ^= b
                 v = parent[v]
 
-        def fits(k: int) -> bool:
-            # whether, with k points placed, each edge has a side whose placed
-            # points form one run that is empty, the whole side, or at an end
-            # of the placed run
+        def fits(v: int, p: int, k: int) -> bool:
+            # whether v fits at p, the kth lowest point: each edge has a side
+            # whose placed points form one run that is empty, the whole side,
+            # or at an end of the placed run; v stays flipped in only if so
+            flip(v, p)
             placed = below[k]
             ends = placed & -placed | 1 << placed.bit_length() - 1
             for w, size in edges:
@@ -344,25 +354,26 @@ def decide_upse(G: Digraph, S: PointSet,
                     # other side was one run after all.
                     a, size = placed ^ a, n - size
                 if a and not a & ends and a.bit_count() != size:
+                    flip(v, p)
                     return False
             return True
 
     # static fail-first candidate order: many satisfied in-arcs first; the
     # ready vertices (unplaced, every in-neighbor placed) are one mask over
-    # the ranks in this order
+    # the ranks in this order, and in_by_rank[r] lists the in-neighbors of
+    # the vertex of rank r
     by_pressure = sorted(range(n), key=lambda v: (-len(G.in_neighbors[v]), v))
     in_nb, out_nb = G.in_neighbors, G.out_neighbors
-    rank = [0] * n
-    for r, v in enumerate(by_pressure):
-        rank[v] = r
+    in_by_rank = [in_nb[v] for v in by_pressure]
+    rank = sorted(range(n), key=by_pressure.__getitem__)  # by_pressure[rank[v]] == v
     ready = sum(1 << rank[v] for v in range(n) if not in_nb[v])
 
-    # memo[a * n + q] for each tested point pair (a, q): [its side mask, the
-    # arc ids still open against it (untested, or known to cross it), those
-    # known to cross it, its own id or -1]. A pair gets the next id when its
-    # arc first passes the crossing test; ends[id] = (id, a, q, side mask),
-    # and drawn holds the ids of the arcs on the stack
-    memo: dict[int, list[int]] = {}
+    # memo[q][a] for each tested point pair (a, q): [its side mask, the arc
+    # ids still open against it (untested, or known to cross it), those known
+    # to cross it, the bit of its own id or 0]. A pair gets the next id when
+    # its arc first passes the crossing test; ends[id] = (id, a, q, side
+    # mask), and drawn holds the ids of the arcs on the stack
+    memo: list[dict[int, list[int]]] = [{} for _ in range(n)]
     ends: list[tuple[int, int, int, int]] = []
     drawn = 0
 
@@ -371,73 +382,72 @@ def decide_upse(G: Digraph, S: PointSet,
     nodes = 0
     budget = -1 if opts.node_budget is None else opts.node_budget
 
-    def arcs_into(v: int, q: int, drawn: int) -> int:
-        # the ids of the arcs into v at point q, or -1 if one of them crosses
-        # a drawn arc; a drawn id is tested against a pair at most once, and
-        # a pair is named when its arc first passes
-        ids = 0
-        for u in in_nb[v]:
-            a = point_of[u]
-            e = memo.get(a * n + q)
-            if e is None:
-                e = memo[a * n + q] = [left_mask(H, a, q), -1, 0, -1]
-            if fresh := e[1] & drawn:
-                if e[2] & drawn:
-                    return -1
-                aq, rest = e[0], fresh
-                while rest:  # one run of consecutive untested ids at a time
-                    low = rest & -rest
-                    run = rest + low
-                    rest &= run
-                    for j, c, d, cd in ends[low.bit_length() - 1:
-                                             (run & -run).bit_length() - 1]:
-                        # q is not drawn yet, so only a can be a shared end;
-                        # general position (checked above) makes one bit per
-                        # end exact
-                        if a != c and a != d and (aq >> c ^ aq >> d) & 1 \
-                                and (cd >> a ^ cd >> q) & 1:
-                            # ids run upward: those below j are tested
-                            # now, and j stays open as a crossing
-                            e[1] ^= fresh & ((1 << j) - 1)
-                            e[2] |= 1 << j
-                            return -1
-                e[1] ^= fresh
-            if e[3] < 0:
-                e[3] = len(ends)
-                ends.append((e[3], a, q, e[0]))
-            ids |= 1 << e[3]
-        return ids
-
     # an explicit stack: the rank and the arc ids of the vertex placed on each
     # of the lowest points so far; r is the rank last tried on the next point
     stack: list[tuple[int, int]] = []
     r = -1
     while len(stack) < n:
         q = order[len(stack)]
+        row = memo[q]  # the pairs into q, by the tail's point
         while above := ready >> (r + 1):  # the next ready vertex by rank
             r += (above & -above).bit_length()
-            v = by_pressure[r]
             if nodes == budget:
                 return DecideResult("budget_exhausted", None, nodes)
             nodes += 1
-            if (ids := arcs_into(v, q, drawn)) < 0:
-                continue
-            # the window rule reads only its own state: ask it before drawing
-            if pruned:
-                flip(v, q)
-                if not fits(len(stack) + 1):
-                    flip(v, q)
+            # the ids of the arcs into the candidate at q, unless one of them
+            # crosses a drawn arc; a drawn id is tested against a pair at most
+            # once, and a pair is named when its arc first passes
+            ids = 0
+            for u in in_by_rank[r]:
+                a = point_of[u]
+                if (e := row.get(a)) is None:
+                    e = row[a] = [left_mask(H, a, q), -1, 0, 0]
+                # a known crossing is drawn; known crossings stay among the
+                # open ids, so testing them first changes no answer
+                if e[2] & drawn:
+                    break
+                if fresh := e[1] & drawn:
+                    aq, rest = e[0], fresh
+                    while rest:  # one run of consecutive untested ids at a time
+                        low = rest & -rest
+                        run = rest + low
+                        rest &= run
+                        for j, c, d, cd in ends[low.bit_length() - 1:
+                                                 (run & -run).bit_length() - 1]:
+                            # q is not drawn yet, so only a can be a shared
+                            # end; general position (checked above) makes one
+                            # bit per end exact
+                            if a != c and a != d and (aq >> c ^ aq >> d) & 1 \
+                                    and (cd >> a ^ cd >> q) & 1:
+                                # ids run upward: those below j are tested
+                                # now, and j stays open as a crossing
+                                fresh &= (1 << j) - 1
+                                e[2] |= 1 << j
+                                rest = 0  # and no later run is tested
+                                break
+                    e[1] ^= fresh
+                    if e[2] & drawn:  # the crossing just found
+                        break
+                if not e[3]:
+                    e[3] = 1 << len(ends)
+                    ends.append((len(ends), a, q, e[0]))
+                ids |= e[3]
+            else:  # every arc into it passes
+                v = by_pressure[r]
+                # the window rule reads only its own state: ask it before
+                # drawing
+                if pruned and not fits(v, q, len(stack) + 1):
                     continue
-            drawn |= ids
-            point_of[v] = q
-            ready ^= 1 << r
-            for w in out_nb[v]:
-                remaining_in[w] -= 1
-                if not remaining_in[w]:
-                    ready |= 1 << rank[w]
-            stack.append((r, ids))
-            r = -1
-            break
+                drawn |= ids
+                point_of[v] = q
+                ready ^= 1 << r
+                for w in out_nb[v]:
+                    remaining_in[w] -= 1
+                    if not remaining_in[w]:
+                        ready |= 1 << rank[w]
+                stack.append((r, ids))
+                r = -1
+                break
         else:  # every candidate failed: backtrack one point
             if not stack:
                 return DecideResult("not_embeddable", None, nodes)

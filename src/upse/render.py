@@ -24,10 +24,14 @@ class RenderSpec(Record):
     def __init__(self, width: int = 800, height: int = 600, margin: int = 40,
                  vertex_radius: int = 4, arrow_size: int = 10, labels: bool = False):
         self._init(width, height, margin, vertex_radius, arrow_size, labels)
-        if min(self.width, self.height, self.margin, self.vertex_radius,
-               self.arrow_size) <= 0:
+        sizes = (width, height, margin, vertex_radius, arrow_size)
+        # the exact fit takes Fraction(width, 2), which refuses a float; a
+        # bool is an int to isinstance, and a string such as "no" is truthy
+        if not all(type(d) is int for d in sizes) or type(labels) is not bool:
+            raise ValueError("render dimensions must be integers and labels a bool")
+        if min(sizes) <= 0:
             raise ValueError("render dimensions must be positive")
-        if 2 * self.margin >= min(self.width, self.height):
+        if 2 * margin >= min(width, height):
             raise ValueError("margin leaves no drawing area")
 
 

@@ -464,6 +464,12 @@ class TestDecide:
         with pytest.raises(ValueError, match="non-negative integer"):
             SolverOptions(node_budget=budget)
 
+    @pytest.mark.parametrize("prune", ["false", "no", None, 0, 1])
+    def test_non_bool_pruning_is_rejected(self, prune):
+        # "false" and "no" are truthy and would prune; None and 0 would not
+        with pytest.raises(ValueError, match="must be a bool"):
+            SolverOptions(use_consecutive_pruning=prune)
+
     def test_node_counts_are_pinned(self):
         # exact search sizes: a pruning or ordering change that moves them
         # must say why
@@ -508,6 +514,16 @@ class TestDecide:
         assert res.mapping is None
         assert decide_upse(g.graph, g.points, SolverOptions(
             node_budget=59246)).mapping.assignment == GADGET_B3_DRAWING
+
+    def test_budget_is_exact_on_a_refuted_search(self):
+        # a random DAG with several in-arcs per vertex: the budget stops the
+        # search one node short of its refutation, and not at the refutation
+        rng = random.Random(0)
+        G, S = random_dag(rng, 20), random_general(rng, 20)
+        assert max(len(us) for us in G.in_neighbors) > 1
+        for budget, result in ((12426, "budget_exhausted"), (12427, "not_embeddable")):
+            res = decide_upse(G, S, SolverOptions(node_budget=budget))
+            assert (res.result, res.nodes_explored, res.mapping) == (result, budget, None)
 
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
         n = 300

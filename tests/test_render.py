@@ -36,6 +36,14 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             RenderSpec(vertex_radius=-1)
 
+    @pytest.mark.parametrize("field", [{"width": "800"}, {"height": 600.0},
+                                       {"margin": True}, {"arrow_size": None},
+                                       {"labels": "no"}, {"labels": 1}])
+    def test_rejects_wrong_types(self, field):
+        # "800" would reach min() as a raw TypeError, and "no" would label
+        with pytest.raises(ValueError):
+            RenderSpec(**field)
+
     def test_rejects_margin_eating_the_canvas(self):
         with pytest.raises(ValueError):
             RenderSpec(width=100, height=300, margin=50)
