@@ -4,9 +4,10 @@ A switch tree is a directed tree in which every vertex is a source or a sink.
 The embedder places such a tree on any convex point set of the right size,
 straight-line, upward, crossing-free, and it can anchor a chosen sink on the
 top point (or a chosen source on the bottom point when the set is one-sided).
+On a one-sided set any oriented tree embeds, switch tree or not.
 
 Run:  python3 demos/02_switch_tree_embedding.py
-Writes demos/out/switch_tree.svg
+Writes demos/out/switch_tree.svg and demos/out/oriented_tree.svg
 """
 
 import pathlib
@@ -73,6 +74,21 @@ for sub in dec.subtrees:
     assert is_consecutive([m[v] for v in sub.vertices], parabola)
     print(f"  {[T.vertices[v] for v in sub.vertices]} -> slots {slots}")
 
+# On a one-sided set y order is hull order, so two arcs cross only if their
+# ends interleave in y. Laying each subtree on a run of its own, in-children
+# below their parent and out-children above it, then draws any oriented
+# tree: here one with directed paths, so no switch tree.
+oriented = Digraph([f"y{i}" for i in range(n)],
+                   [(rng.randrange(v), v) if rng.random() < 0.5 else
+                    (v, rng.randrange(v)) for v in range(1, n)])
+assert not is_switch_tree(oriented)
+o_sinks = sorted(sources_and_sinks(oriented)[1])
+m_oriented = embed_one_sided_sink(oriented, o_sinks[0], parabola)
+assert verify_upse(oriented, parabola, m_oriented) == []
+assert m_oriented[o_sinks[0]] == top
+print(f"a non-switch oriented tree on the same set: sink "
+      f"{oriented.vertices[o_sinks[0]]!r} on the top point, drawing verifies clean")
+
 # Two-sided convex sets work too.  Rational points on the unit circle,
 # mirrored left and right alternately as y climbs, so neither side of the
 # bottom-to-top line is empty.
@@ -97,7 +113,8 @@ assert res.result == "embeddable"
 print(f"decide_upse concurs: {res.result} after {res.nodes_explored} nodes")
 
 OUT.mkdir(exist_ok=True)
-svg = render_svg(zig, T, m3, RenderSpec(labels=True))
-path = OUT / "switch_tree.svg"
-path.write_text(svg)
-print(f"wrote {path}")
+for name, (G, P, m) in {"switch_tree": (T, zig, m3),
+                        "oriented_tree": (oriented, parabola, m_oriented)}.items():
+    path = OUT / f"{name}.svg"
+    path.write_text(render_svg(P, G, m, RenderSpec(labels=True)))
+    print(f"wrote {path}")

@@ -323,8 +323,8 @@ def decide_upse(G: Digraph, S: PointSet,
         below = [0]
         for p in order:
             below.append(below[-1] | bit[p])
-        parent, own = tree.parent, [0] * n
-        edges = [(w, tree.size[w]) for w in tree.order[1:]]
+        parent, own, size = tree.parent, [0] * n, dg._subtree_sizes(tree)
+        edges = [(w, size[w]) for w in tree.order[1:]]
 
         def flip(v: int, p: int) -> None:
             # v at point p enters or leaves its side and every side above it

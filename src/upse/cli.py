@@ -2,9 +2,10 @@
 
 Exit codes: 0 success or embeddable; 1 completed run with a negative answer
 (not embeddable, or verification found violations); 2 input or precondition
-error, or an input too large to process, with {"error": {"kind", "message"}}
-on standard error; 3 node budget exhausted. The UPSE_NODE_BUDGET environment
-variable supplies a default budget for decide.
+error, a malformed command line included, or an input too large to process,
+with {"error": {"kind", "message"}} on standard error; 3 node budget
+exhausted. --help prints its text and exits 0. The UPSE_NODE_BUDGET
+environment variable supplies a default budget for decide.
 """
 
 from __future__ import annotations
@@ -101,12 +102,17 @@ def _cmd_render(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a malformed command line is malformed input
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="upse",
         description="Upward planar straight-line embeddings of digraphs into point sets.")
     sub = top.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)  # embed, decide and verify
+    common = _Parser(add_help=False)  # embed, decide and verify
     common.add_argument("--graph", required=True)
     common.add_argument("--points", required=True)
     common.add_argument("--out", default=None, help="output JSON (default: stdout)")
@@ -163,8 +169,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except UpseError as exc:
         kind, message = exc.kind, str(exc)

@@ -3,11 +3,11 @@
 The structural predicates used by the embedding algorithms live here:
 switch trees (every vertex a source or a sink), longest directed paths,
 path digraphs, and the subtree decomposition obtained by removing a vertex
-from a tree. One rooted pass (parents, BFS order, children, subtree sizes)
-is the only tree walk: it stops on any graph, so it also answers whether the
-underlying graph is a tree, and a path is a tree of degree at most two. The
-decomposition, the embedder and the window rule of the decision solver
-each use the rooted tree it leaves.
+from a tree. One rooted pass (parents and BFS order) is the only tree walk:
+it stops on any graph, so it also answers whether the underlying graph is a
+tree, and a path is a tree of degree at most two. The decomposition, the
+embedder and the window rule of the decision solver each use the rooted tree
+it leaves, and the last two its subtree sizes.
 """
 
 from __future__ import annotations
@@ -145,38 +145,39 @@ def is_monotone_path(G: Digraph) -> bool:
     return is_path_dag(G) and longest_directed_path_length(G) == G.n - 1
 
 
-class _Tree:
-    """G rooted at r, found in one iterative pass: each vertex's parent (-1 at
-    r), the vertices in BFS order from r, the children in arc order and the
-    subtree sizes. From a vertex index r the walk visits each vertex at most
-    once, so it stops on any graph; _rooted tells whether it was a tree."""
-
-    def __init__(self, G: Digraph, r: int):
-        self.parent = parent = [-1] * G.n
-        self.children: list[list[int]] = [[] for _ in range(G.n)]
-        self.size = [1] * G.n
-        self.order = order = [r]
-        for v in order:  # BFS: every vertex comes after its parent
-            for w in G.adjacency[v]:
-                if parent[w] < 0 and w != r:
-                    parent[w] = v
-                    self.children[v].append(w)
-                    order.append(w)
-        for v in reversed(order[1:]):
-            self.size[parent[v]] += self.size[v]
+class _Tree(NamedTuple):
+    """G rooted at a vertex r: each vertex's parent (-1 at r) and the vertices
+    in BFS order from r. In a tree, a vertex's children are its neighbours in
+    ``G.adjacency`` but its parent, in the order the walk met them."""
+    parent: list[int]
+    order: list[int]
 
 
 def _rooted(G: Digraph, r: int) -> _Tree | None:
     """G rooted at vertex r, or None if its underlying graph is not a tree.
 
-    n - 1 arcs that reach every vertex suffice: arcs are distinct and
-    loop-free, so an opposite pair would leave only n - 2 distinct edges,
-    too few to connect n vertices.
+    From a vertex index r the walk visits each vertex at most once, so it
+    stops on any graph. n - 1 arcs that reach every vertex suffice: arcs are
+    distinct and loop-free, so an opposite pair would leave only n - 2
+    distinct edges, too few to connect n vertices.
     """
     if len(G.arcs) != G.n - 1:
         return None
-    tree = _Tree(G, r)
-    return tree if len(tree.order) == G.n else None
+    parent, order = [-1] * G.n, [r]
+    for v in order:  # BFS: every vertex comes after its parent
+        for w in G.adjacency[v]:
+            if parent[w] < 0 and w != r:
+                parent[w] = v
+                order.append(w)
+    return _Tree(parent, order) if len(order) == G.n else None
+
+
+def _subtree_sizes(tree: _Tree) -> list[int]:
+    """The number of vertices in the subtree under each vertex of tree."""
+    parent, size = tree.parent, [1] * len(tree.parent)
+    for v in reversed(tree.order[1:]):
+        size[parent[v]] += size[v]
+    return size
 
 
 def _is_vertex(G: Digraph, v) -> bool:
@@ -206,7 +207,7 @@ def decompose_at(G: Digraph, u: int) -> TreeDecomposition:
         raise NotATree("underlying graph is not a tree")
     if not ok:
         raise ValueError(f"vertex {u!r} is not an index in [0, {G.n})")
-    bags: dict[int, list[int]] = {c: [] for c in tree.children[u]}
+    bags: dict[int, list[int]] = {c: [] for c in G.adjacency[u]}
     top = [-1] * G.n  # the child of u above each vertex
     for v in tree.order[1:]:  # BFS: every vertex comes after its parent
         p = tree.parent[v]
@@ -214,4 +215,4 @@ def decompose_at(G: Digraph, u: int) -> TreeDecomposition:
         bags[top[v]].append(v)
     into = set(G.in_neighbors[u])
     return TreeDecomposition(u, tuple(Subtree(frozenset(bags[c]), c, c in into)
-                                      for c in tree.children[u]))
+                                      for c in G.adjacency[u]))

@@ -1,34 +1,40 @@
-"""Constructive upward planar straight-line embedding of switch trees.
+"""Constructive upward planar straight-line embedding of trees.
+
+On a one-sided convex set (bottom and top hull-adjacent) y order is hull
+order, so two chords cross iff their ends interleave in y, and one rule lays
+any oriented tree there: on a run of points listed lowest first, each vertex
+has its in-children below it and its out-children above it, the first child
+nearest, and each child's subtree on a run of its own. Every arc then spans
+only whole subtrees, so none crosses another, and it points up. A sink
+anchor has only in-children, so it takes the top point; a source anchor the
+bottom point. A hull chain is y-monotone, so the same rule lays a subtree on
+a run of it.
 
 A switch tree always admits an upward planar straight-line embedding into any
-convex general-position point set of matching size. The construction is
-recursive, and every block lists its points starting from its anchor's end:
-the top point for a sink, the bottom point for a source. On a one-sided set
-(bottom and top hull-adjacent) the anchor takes the first point of its block
-and each subtree takes the next consecutive run of points, reversed, so the
-subtree's own anchor (a source under a sink, a sink under a source) again
-comes first. On a general convex set the sink takes the top point and the
-subtrees are packed greedily onto the two y-monotone hull chains: left chain
-top-down as long as they fit, the first subtree that does not fit is withheld
-as the residual, the rest continue on the right chain top-down. The unused
-points then form a consecutive arc around the bottom point, and the residual
-subtree goes into it anchored at a source. A source packs its subtrees the
-same way and takes the bottom point, or, when leftovers remain on both
-chains, the lower of the two chain tops and hands its residual on as a sink.
+convex general-position point set of matching size. On a general convex set
+the sink takes the top point and the subtrees are packed greedily onto the
+two y-monotone hull chains: left chain top-down as long as they fit, the
+first subtree that does not fit is withheld as the residual, the rest
+continue on the right chain top-down. The unused points then form a
+consecutive arc around the bottom point, and the residual subtree goes into
+it anchored at a source. A source packs its subtrees the same way and takes
+the bottom point, or, when leftovers remain on both chains, the lower of the
+two chain tops and hands its residual on as a sink.
 
 Every block is a window (first, length, step) on the hull cycle that the
 point set caches, geometry._cycle: the hull listed counterclockwise from the
 top point, with the position of the lowest point. Every residual is a
 sub-window of its block. Every window holds the lowest point: the first is
 the whole cycle, chain runs never include that point, and so every residual
-keeps it, as the window's bottom. The y-rank of each cycle position is built
-once; after that each step is integer arithmetic on positions and ranks, and
+keeps it, as the window's bottom. The y-rank of each point is built once;
+after that each step is integer arithmetic on positions and ranks, and
 a residual window whose length does not match its subtree raises
 InternalNonConsecutiveResidual. An explicit stack and a loop
 over residual steps replace recursion, so the depth of the tree is unbounded.
 
 The anchor of every embedder must be a vertex index in [0, n); anything
-else, a bool or -1 included, raises ValueError after the switch-tree test.
+else, a bool or -1 included, raises ValueError after the tree test (the
+switch-tree test, for the convex embedders).
 """
 
 from __future__ import annotations
@@ -78,29 +84,35 @@ class Mapping(Record):
         return cls(tuple(d[lab] for lab in G.vertices))
 
 
-def _embed_one_sided_block(tree: dg._Tree, v: int, block: tuple[int, ...],
-                           first: int, step: int, assign: list[int]) -> None:
-    # the window block[first], block[first + step], ... lists tree.size[v] points
-    # in y order from v's end (top first for a sink); no window is copied
-    stack = [(v, first, step)]
+def _lay(T: Digraph, parent: list[int], size: list[int], v: int,
+         run: tuple[int, ...] | list[int], assign: list[int]) -> None:
+    # the subtree at v, of size[v] vertices, onto run, its points lowest first;
+    # bottom up: v's in-children from the last, v, its out-children from the first
+    stack = [(v, 0)]  # a vertex and the index in run of its subtree's lowest point
     while stack:
-        v, first, step = stack.pop()
-        assign[v] = block[first]
-        lo = 1
-        for c in tree.children[v]:
-            sz = tree.size[c]
-            stack.append((c, first + (lo + sz - 1) * step, -step))
-            lo += sz
+        v, at = stack.pop()
+        p = parent[v]
+        for c in reversed(T.in_neighbors[v]):
+            if c != p:
+                stack.append((c, at))
+                at += size[c]
+        assign[v] = run[at]
+        for c in T.out_neighbors[v]:
+            if c != p:
+                stack.append((c, at + 1))
+                at += size[c]
 
 
-def _rooted_switch_tree(T: Digraph, r: int, sink: bool) -> dg._Tree:
+def _rooted_at_anchor(T: Digraph, r: int, S: PointSet, sink: bool,
+                      switch: bool) -> dg._Tree:
     """T rooted at its anchor r, in one pass, once these hold in this order:
-    T is a switch tree, r is a vertex index, and r is a sink (a source)."""
+    T is a tree (a switch tree, if switch), r is a vertex index, r is a sink
+    (a source), S has T.n points, and S is in general and convex position."""
     ok = dg._is_vertex(T, r)
     tree = dg._rooted(T, r if ok else 0)
     if tree is None:
         raise NotSwitchTree("underlying graph is not a tree")
-    if any(T.in_neighbors[v] and T.out_neighbors[v] for v in range(T.n)):
+    if switch and any(T.in_neighbors[v] and T.out_neighbors[v] for v in range(T.n)):
         raise NotSwitchTree("some vertex is neither a source nor a sink")
     if not ok:
         raise ValueError(f"anchor {r!r} is not a vertex index in [0, {T.n})")
@@ -108,55 +120,47 @@ def _rooted_switch_tree(T: Digraph, r: int, sink: bool) -> dg._Tree:
         raise NotSink(f"vertex {T.vertices[r]!r} has outgoing arcs")
     if not sink and T.in_neighbors[r]:
         raise NotSource(f"vertex {T.vertices[r]!r} has incoming arcs")
-    return tree
-
-
-def _require_size(T: Digraph, S: PointSet) -> None:
     if T.n != len(S):
         raise SizeMismatch(f"{T.n} vertices vs {len(S)} points")
-
-
-def _require_convex_general(S: PointSet) -> None:
     if not geo.is_general_position(S):
         raise NotGeneralPosition("point set is not in general position")
     if not geo._convex_including_small(S):
         raise NotConvex("point set is not in convex position")
+    return tree
 
 
 def _embed_one_sided(T: Digraph, r: int, S: PointSet, sink: bool) -> Mapping:
-    tree = _rooted_switch_tree(T, r, sink)
-    _require_size(T, S)
-    _require_convex_general(S)
+    tree = _rooted_at_anchor(T, r, S, sink, switch=False)
     if len(S) >= 2 and geo.is_one_sided(S) is Sidedness.TWO_SIDED:
         raise NotOneSided("point set is two-sided")
-    block = geo._by_y(S)[::-1] if sink else geo._by_y(S)
     assign = [-1] * T.n
-    _embed_one_sided_block(tree, r, block, 0, 1, assign)
+    _lay(T, tree.parent, dg._subtree_sizes(tree), r, geo._by_y(S), assign)
     return Mapping(tuple(assign))
 
 
 def embed_one_sided_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
-    """Embed switch tree T into one-sided convex S with sink r on the top point."""
+    """Embed oriented tree T into one-sided convex S with sink r on the top point."""
     return _embed_one_sided(T, r, S, sink=True)
 
 
 def embed_one_sided_source(T: Digraph, r: int, S: PointSet) -> Mapping:
-    """Embed switch tree T into one-sided convex S with source r on the bottom point."""
+    """Embed oriented tree T into one-sided convex S with source r on the bottom point."""
     return _embed_one_sided(T, r, S, sink=False)
 
 
 def embed_convex_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
     """Embed switch tree T into convex general-position S with sink r on the top point."""
-    tree = _rooted_switch_tree(T, r, sink=True)
-    _require_size(T, S)
-    _require_convex_general(S)
-    assign = [-1] * T.n
-    n = len(S)
+    tree = _rooted_at_anchor(T, r, S, sink=True, switch=True)
+    parent, size, assign = tree.parent, dg._subtree_sizes(tree), [-1] * T.n
     cycle, lowest = geo._cycle(S)  # counterclockwise from the top point
-    y_rank = [0] * n
-    for y, i in enumerate(geo._by_y(S)):
-        y_rank[i] = y
-    rank = [y_rank[i] for i in cycle]  # the y-rank at each cycle position
+    y_rank = [0] * len(S)
+    for y, p in enumerate(geo._by_y(S)):
+        y_rank[p] = y
+
+    def lowest_first(top: int, length: int, step: int) -> tuple[int, ...]:
+        # the points of the run of length cycle positions from top in steps
+        # of step, along which y falls, listed lowest first
+        return cycle[top - length + 1:top + 1] if step < 0 else cycle[top:top + length][::-1]
 
     def block(v: int, sink: bool, first: int, length: int, step: int):
         """Embed the subtree at v into the window of length cycle positions
@@ -167,7 +171,7 @@ def embed_convex_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
             assign[v] = cycle[first]
             return None
         last = first + (length - 1) * step
-        if rank[last] > rank[first]:  # put the window's top in front
+        if y_rank[cycle[last]] > y_rank[cycle[first]]:  # put the window's top in front
             first, last, step = last, first, -step
         # y falls along the cycle from the top to the lowest point, which
         # every window holds, so it is the window's bottom, b steps from first
@@ -185,43 +189,43 @@ def embed_convex_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
         (lf, ls, ln), (rf, rs, rn) = (runA, runB) if ccw else (runB, runA)
         li = ri = 0
         residual = None
-        for c in tree.children[v]:
-            sz = tree.size[c]
+        for c in T.adjacency[v]:
+            if c == parent[v]:
+                continue
+            sz = size[c]
             if residual is None and sz > ln - li:
                 residual = c
                 continue
             if residual is None:
-                f, s = lf + li * ls, ls
+                run = lowest_first(lf + li * ls, sz, ls)
                 li += sz
             else:
                 assert sz <= rn - ri, "post-residual subtree overflows the right chain"
-                f, s = rf + ri * rs, rs
+                run = lowest_first(rf + ri * rs, sz, rs)
                 ri += sz
-            if sink:  # a sink's children are sources: anchor them at the run's bottom
-                f, s = f + (sz - 1) * s, -s
-            _embed_one_sided_block(tree, c, cycle, f, s, assign)
+            _lay(T, parent, size, c, run, assign)
         cA, cB = (li, ri) if ccw else (ri, li)
         # the leftover window, with a source's own point
         first, length = first + (cA + sink) * step, length - cA - cB - sink
         if residual is None and not sink:  # an exact fill leaves only the bottom
             assign[v] = cycle[first]
             return None
-        if residual is None or length != tree.size[residual] + (not sink):
+        if residual is None or length != size[residual] + (not sink):
             raise InternalNonConsecutiveResidual(
                 "residual window does not match its subtree's size")
         if sink:
             return residual, False, first, length, step
         last = first + (length - 1) * step
-        if rank[last] < rank[first]:  # put the leftover's lower end in front
+        if y_rank[cycle[last]] < y_rank[cycle[first]]:  # put its lower end in front
             first, last, step = last, first, -step
         assign[v] = cycle[first]
-        if first == lowest:  # leftovers on one y-monotone chain: the rest top first
-            _embed_one_sided_block(tree, residual, cycle, last, -step, assign)
+        if first == lowest:  # leftovers on one y-monotone chain: the rest above
+            _lay(T, parent, size, residual, lowest_first(last, length - 1, -step), assign)
             return None
         # leftovers on both chains: v took the lower chain top; go on with the rest
         return residual, True, first + step, length - 1, step
 
-    step = (r, True, 0, n, 1)
+    step = (r, True, 0, len(S), 1)
     while step is not None:  # each block returns its residual's step, or None
         step = block(*step)
     assert assign[r] == cycle[0]

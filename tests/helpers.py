@@ -479,6 +479,116 @@ def convex_chords_ok(G: Digraph, S: PointSet, m: Mapping) -> bool:
     return True
 
 
+def window_rooting(T: Digraph, r: int) -> tuple[list[list[int]], list[int]]:
+    """The children of each vertex in arc order and the subtree sizes of the
+    tree T rooted at r, by a BFS over a seen set."""
+    children: list[list[int]] = [[] for _ in range(T.n)]
+    order, seen = [r], {r}
+    for v in order:
+        for w in T.adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                children[v].append(w)
+                order.append(w)
+    size = [1] * T.n
+    for v in reversed(order):
+        size[v] += sum(size[c] for c in children[v])
+    return children, size
+
+
+def window_block(children, size, v: int, block, first: int, step: int,
+                 assign: list[int]) -> None:
+    """The window routine that laid every one-sided run before the y-order
+    walk, on switch trees only: block[first], block[first + step], ... lists
+    size[v] points in y order from v's end (top first for a sink); v takes the
+    first point and each child the next run, reversed so that the child's own
+    end comes first."""
+    stack = [(v, first, step)]
+    while stack:
+        v, first, step = stack.pop()
+        assign[v] = block[first]
+        lo = 1
+        for c in children[v]:
+            sz = size[c]
+            stack.append((c, first + (lo + sz - 1) * step, -step))
+            lo += sz
+
+
+def window_one_sided(T: Digraph, r: int, S: PointSet, sink: bool) -> Mapping:
+    """embed_one_sided_sink (or _source) on a switch tree, by window_block on
+    the points top first (bottom first)."""
+    children, size = window_rooting(T, r)
+    block = sorted(range(len(S)), key=lambda i: S[i].y, reverse=sink)
+    assign = [-1] * T.n
+    window_block(children, size, r, block, 0, 1, assign)
+    return Mapping(tuple(assign))
+
+
+def window_convex_sink(T: Digraph, r: int, S: PointSet) -> Mapping:
+    """embed_convex_sink on a switch tree as it was before the y-order walk:
+    blocks are windows (first, length, step) on the hull cycle from the top
+    point, and each chain run is laid by window_block from the child's end."""
+    children, size = window_rooting(T, r)
+    n = len(S)
+    hull = list(convex_hull(S))  # counterclockwise from the lowest point
+    top = hull.index(max(range(n), key=lambda i: S[i].y))
+    cycle = hull[top:] + hull[:top]
+    lowest = (n - top) % n
+    y = [S[p].y for p in cycle]
+    assign = [-1] * n
+
+    def block(v, sink, first, length, step):
+        if length == 1:
+            assign[v] = cycle[first]
+            return None
+        last = first + (length - 1) * step
+        if y[last] > y[first]:
+            first, last, step = last, first, -step
+        b = (lowest - first) * step
+        if sink:
+            assign[v] = cycle[first]
+        runA = (first + sink * step, step, b - sink)
+        runB = (last, -step, length - 1 - b)
+        ccw = length < 3 or step > 0
+        (lf, ls, ln), (rf, rs, rn) = (runA, runB) if ccw else (runB, runA)
+        li = ri = 0
+        residual = None
+        for c in children[v]:
+            sz = size[c]
+            if residual is None and sz > ln - li:
+                residual = c
+                continue
+            if residual is None:
+                f, s = lf + li * ls, ls
+                li += sz
+            else:
+                f, s = rf + ri * rs, rs
+                ri += sz
+            if sink:
+                f, s = f + (sz - 1) * s, -s
+            window_block(children, size, c, cycle, f, s, assign)
+        cA, cB = (li, ri) if ccw else (ri, li)
+        first, length = first + (cA + sink) * step, length - cA - cB - sink
+        if residual is None:
+            assign[v] = cycle[first]
+            return None
+        if sink:
+            return residual, False, first, length, step
+        last = first + (length - 1) * step
+        if y[last] < y[first]:
+            first, last, step = last, first, -step
+        assign[v] = cycle[first]
+        if first == lowest:
+            window_block(children, size, residual, cycle, last, -step, assign)
+            return None
+        return residual, True, first + step, length - 1, step
+
+    step = (r, True, 0, n, 1)
+    while step is not None:
+        step = block(*step)
+    return Mapping(tuple(assign))
+
+
 def walk_is_tree(G: Digraph) -> bool:
     """underlying_is_tree by a deque BFS from vertex 0 over a seen set: n - 1
     arcs that reach every vertex."""

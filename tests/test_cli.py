@@ -389,7 +389,29 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"] == "embeddable"
 
-    def test_unknown_command_exits_nonzero(self):
+    def test_unknown_command_exits_nonzero(self, capsys):
+        assert main(["frobnicate"]) == 2
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"]["kind"] == "FormatError"
+        assert "usage:" not in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["decide", "--graph", "g.json", "--points", "p.json", "--budget", "abc"], "--budget"),
+        (["generate", "kswitch", "--n", "5", "--k", "x", "--out", "k.json"], "--k"),
+        (["render", "--points", "p.json", "--out", "o.svg", "--width", "1.5"], "--width"),
+        (["embed", "--graph", "g.json"], "--points"),
+        (["frobnicate"], "frobnicate"),
+    ], ids=["bad_int", "bad_family_int", "float_width", "missing_flag", "unknown_command"])
+    def test_malformed_command_line_is_a_format_error(self, argv, flag, capsys):
+        # no file is read: the command line is refused first
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage:" not in captured.err
+        err = json.loads(captured.err)["error"]
+        assert err["kind"] == "FormatError" and flag in err["message"]
+
+    def test_help_is_unchanged(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+            main(["decide", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: upse decide")

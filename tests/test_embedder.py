@@ -3,6 +3,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from upse import (Digraph, Mapping, NotConvex, NotGeneralPosition,
                   NotOneSided, NotSink, NotSource, NotSwitchTree, Point,
@@ -11,7 +13,8 @@ from upse import (Digraph, Mapping, NotConvex, NotGeneralPosition,
                   embed_one_sided_source, embed_switch_tree, pt, verify_upse)
 
 from helpers import (convex_chords_ok, orient_as_switch, random_convex,
-                     random_switch_tree, random_tree_edges, zigzag_path)
+                     random_switch_tree, random_tree_dag, random_tree_edges,
+                     window_convex_sink, window_one_sided, zigzag_path)
 
 
 def in_star(k):
@@ -110,6 +113,73 @@ class TestOneSided:
         with pytest.raises(NotOneSided):
             embed_one_sided_sink(T, 0, S)
 
+    def test_a_directed_path_is_taken(self):
+        # a -> b -> c is no switch tree, but any oriented tree embeds here
+        T = Digraph(["a", "b", "c"], [(0, 1), (1, 2)])
+        S = random_convex(random.Random(0), 3, "left")
+        assert embed_one_sided_sink(T, 2, S) == embed_one_sided_source(T, 0, S)
+        assert valid(T, S, embed_one_sided_sink(T, 2, S))
+
+
+@st.composite
+def anchored_one_sided_trees(draw):
+    """A random oriented tree with at most 40 vertices on a left- or
+    right-sided convex set, with a sink or a source anchor."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    T = random_tree_dag(rng, draw(st.integers(1, 40)))
+    S = random_convex(rng, T.n, draw(st.sampled_from(("left", "right"))))
+    sink = draw(st.booleans())
+    anchors = [v for v in range(T.n) if not (T.out_neighbors if sink else T.in_neighbors)[v]]
+    return T, S, sink, draw(st.sampled_from(anchors))
+
+
+class TestAnyOrientedTreeOneSided:
+    """On a one-sided convex set y order is hull order, so every oriented
+    tree embeds there, its sink anchor on the top point or its source anchor
+    on the bottom point: checked by verify_upse and by convex_chords_ok."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(anchored_one_sided_trees())
+    def test_every_anchored_tree_embeds(self, instance):
+        T, S, sink, r = instance
+        m = (embed_one_sided_sink if sink else embed_one_sided_source)(T, r, S)
+        assert verify_upse(T, S, m) == []
+        assert convex_chords_ok(T, S, m)
+        ys = [p.y for p in S]
+        assert S[m[r]].y == (max(ys) if sink else min(ys))
+
+
+class TestSameDrawingsAsTheWindowRoutine:
+    """On switch trees every embedder returns the mapping of the window
+    routine that laid one-sided runs before the y-order walk, kept in
+    tests/helpers as window_one_sided and window_convex_sink: every
+    admissible anchor, n = 1-39, on left, right and mixed sets."""
+
+    def test_every_anchor_of_every_embedder(self):
+        rng = random.Random(28)
+        cases = 0
+        for t in range(2600):
+            n = 1 + t % 39
+            T = random_switch_tree(rng, n) if n > 1 else Digraph(["x0"], [])
+            side = ("left", "right", "mixed")[t % 3]
+            S = random_convex(rng, n, side)
+            for r in range(n):
+                if not T.out_neighbors[r]:
+                    assert embed_convex_sink(T, r, S) == window_convex_sink(T, r, S)
+                    cases += 1
+                if side == "mixed":
+                    continue
+                if not T.out_neighbors[r]:
+                    assert embed_one_sided_sink(T, r, S) == window_one_sided(T, r, S, True)
+                    cases += 1
+                if not T.in_neighbors[r]:
+                    assert embed_one_sided_source(T, r, S) == window_one_sided(T, r, S, False)
+                    cases += 1
+            anchor = min(v for v in range(n) if not T.out_neighbors[v])
+            assert embed_switch_tree(T, S) == window_convex_sink(T, anchor, S)
+            cases += 1
+        assert cases >= 60_000
+
 
 class TestConvexSink:
     def test_random_instances(self):
@@ -204,9 +274,10 @@ ANCHORED = {"one_sided_sink": (embed_one_sided_sink, 0),
 
 
 class TestPreconditions:
-    """Each anchored embedder checks, in order: a switch tree, the anchor as
-    a vertex index, the anchor's role, the size, then general and convex
-    position. in_star(2) has its sink at 0 and sources at 1 and 2."""
+    """Each anchored embedder checks, in order: a tree (for
+    embed_convex_sink, a switch tree), the anchor as a vertex index, the
+    anchor's role, the size, then general and convex position. in_star(2)
+    has its sink at 0 and sources at 1 and 2."""
 
     @pytest.mark.parametrize("embedder", ANCHORED)
     @pytest.mark.parametrize("r", [-1, 3, True, 0.0],
@@ -218,7 +289,12 @@ class TestPreconditions:
         with pytest.raises(ValueError, match=f"anchor {r!r} is not a vertex index"):
             embed(in_star(2), r, S)
         with pytest.raises(NotSwitchTree):  # the tree test comes first
-            embed(Digraph(["a", "b", "c"], [(0, 1), (1, 2)]), r, S)
+            embed(Digraph(["a", "b", "c"], [(0, 1)]), r, S)
+        # a -> b -> c is a tree but no switch tree: only embed_convex_sink
+        # tests that, and before the anchor
+        path = Digraph(["a", "b", "c"], [(0, 1), (1, 2)])
+        with pytest.raises(NotSwitchTree if embedder == "convex_sink" else ValueError):
+            embed(path, r, S)
 
     def test_empty_graph_is_not_a_switch_tree(self):
         with pytest.raises(NotSwitchTree):
@@ -288,6 +364,16 @@ class TestDeepTrees:
         assert verify_upse(T, S, m) == []
         anchor = min(v for v in range(T.n) if not T.out_neighbors[v])
         assert S[m[anchor]].y == max(p.y for p in S)
+
+    def test_random_oriented_tree_of_ten_thousand_vertices_on_one_side(self):
+        # no switch tree: embed_one_sided_sink takes any oriented tree
+        n = 10_000
+        T = random_tree_dag(random.Random(27), n)
+        S = deep_set("right", n)
+        sink = min(v for v in range(n) if not T.out_neighbors[v])
+        m = embed_one_sided_sink(T, sink, S)
+        assert verify_upse(T, S, m) == []
+        assert S[m[sink]].y == max(p.y for p in S)
 
     def test_chord_check_agrees_with_verify(self):
         rng = random.Random(16)
